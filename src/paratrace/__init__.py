@@ -15,8 +15,8 @@ from .cache import CacheLease, RadixCache
 from .corpus import CorpusSpec, corrupt, generate_corpus, random_valid_document
 from .document import (ParallelBlock, ReasoningDoc, Span, extract_boxed,
                        parse_document, serialize, tokenize)
-from .engine import (BranchState, GenerationEvent, GenerationRun, ScriptedPolicy,
-                     apply_repetition_penalty, run_generation,
+from .engine import (BranchState, EmissionLogView, GenerationEvent, GenerationRun,
+                     ScriptedPolicy, apply_repetition_penalty, run_generation,
                      schedule_confluence_check)
 from .errors import (BudgetExceeded, DoubleRelease, IllegalSchema, InputError,
                      LedgerExhausted, MisplacedTag, ParseError, StructureError,

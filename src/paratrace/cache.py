@@ -7,6 +7,12 @@ when an insertion would overflow the budget, all unreferenced nodes are
 evicted in depth-first post-order before the insertion is retried. Live
 (referenced) nodes are never evicted; if the retry still does not fit, the
 operation fails atomically with :class:`BudgetExceeded`.
+
+Because a live lease already pins its own path, growing it with
+:meth:`RadixCache.extend` needs no extra protection during a flush: every
+token costs O(1). Only :meth:`RadixCache.match_and_insert` pins its matched
+path for the flush, since that path is not referenced yet. A lease's path is
+walked once, when it is released.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ class RadixCache:
         node = lease._tip if lease._length else self._root
         child = node.children.get(token)
         if child is None:
-            self._reserve(1, protect=self._lease_path(lease))
+            self._reserve(1, protect=())
             child = _Node(token, node)
             node.children[token] = child
             self.usage += 1

@@ -121,24 +121,50 @@ def cmd_posid(args):
     return (EXIT_OK if all_ok else EXIT_INVALID), outputs
 
 
-def _load_script(path) -> ScriptedPolicy:
+def _read_json_object(path, what: str) -> dict:
+    """A JSON object read from ``path``; anything else is an :class:`InputError`."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise InputError("file not found", str(path))
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"bad {what}: {exc}", str(path)) from exc
+    if not isinstance(data, dict):
+        raise InputError(f"bad {what}: expected a JSON object", str(path))
+    return data
+
+
+def _load_script(path) -> ScriptedPolicy:
+    data = _read_json_object(path, "script")
+    try:
         return ScriptedPolicy.from_json_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad script: {exc}", str(path)) from exc
+
+
+# Run-config fields and the argparse destinations they override.
+_CONFIG_FIELDS = {"budget_slots": ("budget_slots", int),
+                  "max_new_tokens": ("max_new_tokens", int),
+                  "strict_validator": ("strict", bool)}
+
+
+def _apply_config(args) -> None:
+    cfg = _read_json_object(args.config, "config")
+    for key, (dest, kind) in _CONFIG_FIELDS.items():
+        if key not in cfg:
+            continue
+        # Exact type: JSON true/false must not pass as a slot count.
+        if type(cfg[key]) is not kind:
+            raise InputError(f"bad config: {key} must be {kind.__name__}, "
+                             f"got {cfg[key]!r}", str(args.config))
+        setattr(args, dest, cfg[key])
 
 
 def cmd_simulate(args):
     policy = _load_script(args.script)
     if args.config:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        args.budget_slots = cfg.get("budget_slots", args.budget_slots)
-        args.max_new_tokens = cfg.get("max_new_tokens", args.max_new_tokens)
-        args.strict = cfg.get("strict_validator", args.strict)
+        _apply_config(args)
     try:
         cache = RadixCache(args.budget_slots)
         ledger = TokenLedger(args.max_new_tokens)
@@ -290,15 +316,18 @@ def cmd_metrics(args):
 
 
 def cmd_gen_corpus(args):
-    if args.spec_file:
-        spec = corpus_mod.CorpusSpec.from_json_dict(
-            json.loads(Path(args.spec_file).read_text(encoding="utf-8")))
-        if args.seed is not None:
-            spec = corpus_mod.CorpusSpec(**{**spec.__dict__, "seed": args.seed})
-    else:
-        spec = corpus_mod.CorpusSpec(documents=args.docs,
-                                     corruption_rate=args.corruption,
-                                     seed=args.seed if args.seed is not None else 0)
+    try:
+        if args.spec_file:
+            spec = corpus_mod.CorpusSpec.from_json_dict(
+                _read_json_object(args.spec_file, "spec"))
+            if args.seed is not None:
+                spec = corpus_mod.CorpusSpec(**{**spec.__dict__, "seed": args.seed})
+        else:
+            spec = corpus_mod.CorpusSpec(documents=args.docs,
+                                         corruption_rate=args.corruption,
+                                         seed=args.seed if args.seed is not None else 0)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"bad corpus spec: {exc}", args.spec_file) from exc
     docs, keys = corpus_mod.generate_corpus(spec)
     corpus_path = _out(args, "corpus.jsonl")
     write_jsonl(corpus_path, docs)

@@ -15,7 +15,9 @@ whatever is open so the output still parses; forced tokens are recorded as
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cache import CacheLease, RadixCache
 from .document import ReasoningDoc, parse_document
@@ -27,6 +29,10 @@ from .topology import TopologyStats, topology_stats
 EVENT_KINDS = ("emit", "fork", "join", "flush", "truncate", "reject")
 
 SCHEDULES = ("round_robin", "reverse_round_robin", "branch_major")
+
+# Hoisted out of the per-token loop: enum ``.value`` lookups are not free.
+_STEP_OPEN = Tag.STEP_OPEN.value
+_STEP_CLOSE = Tag.STEP_CLOSE.value
 
 
 @dataclass(frozen=True)
@@ -51,10 +57,41 @@ class BranchState:
     lease: CacheLease | None = None
 
     def record(self, token: str) -> None:
-        if token == Tag.STEP_OPEN.value:
+        if token == _STEP_OPEN:
             self.step_tokens.clear()
         self.emitted.append(token)
         self.step_tokens[token] += 1
+
+
+class EmissionLogView(Sequence):
+    """Read-only view of the first ``len`` tokens of a growing emission log.
+
+    Making one is O(1): nothing is copied. Later appends to the log do not
+    show through, so a view kept by a policy stays the snapshot it was.
+    Indexing, slicing (which returns a tuple) and iteration are all bounded
+    by the length at creation.
+    """
+
+    __slots__ = ("_log", "_len")
+
+    def __init__(self, log: list[str]):
+        self._log = log
+        self._len = len(log)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._log[i] for i in range(*index.indices(self._len)))
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("emission log index out of range")
+        return self._log[index]
+
+    def __iter__(self):
+        return islice(self._log, self._len)
 
 
 class ScriptedPolicy:
@@ -95,6 +132,13 @@ class ScriptedPolicy:
         return tuple(self.branches)
 
     def next_token(self, branch_id: str, position: int, context=()) -> str | None:
+        """Token ``position`` of ``branch_id``'s stream, or None past its end.
+
+        ``context`` is an :class:`EmissionLogView`, not a tuple: a read-only
+        snapshot of every token emitted so far in this run, across all
+        branches, in emission order. It is built in O(1), so decode stays
+        linear in the tokens emitted.
+        """
         stream = self.branches[branch_id]
         return stream[position] if position < len(stream) else None
 
@@ -168,9 +212,6 @@ class GenerationRun:
     events: list[GenerationEvent]
     stats: TopologyStats
     decode_steps: int
-
-    def __iter__(self):
-        return iter((self.doc, self.events, self.stats))
 
     def branch_streams(self) -> dict[str, list[str]]:
         """Per-branch token streams (emitted and forced) from the event log."""
@@ -345,7 +386,7 @@ def _advance(run: _Run, branch: BranchState, funded: bool) -> None:
         _truncate_branch(run, branch)
         return
     token = run.policy.next_token(branch.branch_id, len(branch.emitted),
-                                  tuple(run.emission_log))
+                                  EmissionLogView(run.emission_log))
     if token is None:
         # Streams always end at a step close, which closes the branch first.
         raise ValueError(f"policy returned no token for active branch "
@@ -357,16 +398,16 @@ def _advance(run: _Run, branch: BranchState, funded: bool) -> None:
     branch.record(token)
     run.emission_log.append(token)
     run._event("emit", branch=branch.branch_id, token=token)
-    if token == Tag.STEP_CLOSE.value:
+    if token == _STEP_CLOSE:
         branch.status = "closed"
 
 
 def _truncate_branch(run: _Run, branch: BranchState) -> None:
-    if branch.emitted and branch.emitted[-1] != Tag.STEP_CLOSE.value:
+    if branch.emitted and branch.emitted[-1] != _STEP_CLOSE:
         # An open step span must be force-closed to keep the output parseable.
-        branch.record(Tag.STEP_CLOSE.value)
-        run.emission_log.append(Tag.STEP_CLOSE.value)
-        run._event("truncate", branch=branch.branch_id, token=Tag.STEP_CLOSE.value)
+        branch.record(_STEP_CLOSE)
+        run.emission_log.append(_STEP_CLOSE)
+        run._event("truncate", branch=branch.branch_id, token=_STEP_CLOSE)
     else:
         # Nothing open: the branch is dropped (or was already balanced).
         run._event("truncate", branch=branch.branch_id, token=None)

@@ -165,3 +165,51 @@ class TestBudgetInvariant:
             if i % 2 == 0:
                 cache.release(leases.pop(0))
         cache.check_integrity()
+
+
+class TestLongLease:
+    def test_flush_under_long_lease_frees_only_siblings(self):
+        n = 5000
+        cache = RadixCache(budget=n + 40)
+        lease = cache.match_and_insert([])
+        for i in range(n):
+            cache.extend(lease, f"t{i}")
+        path = [f"t{i}" for i in range(n)]
+        # Released siblings hanging off the lease's path at several depths,
+        # plus one unrelated chain, fill the budget to the last slot.
+        for depth in (0, 1, 2500, n - 1, n):
+            side = cache.match_and_insert(path[:depth] + [f"s{depth}a", f"s{depth}b"])
+            cache.release(side)
+        dead = cache.match_and_insert([f"d{i}" for i in range(30)])
+        cache.release(dead)
+        assert cache.usage == cache.budget
+
+        assert cache.extend(lease, "next") == 1
+        assert cache.flush_count == 1
+        assert cache.usage == len(lease) == n + 1
+        assert cache.match_prefix(path + ["next"]) == n + 1
+        assert cache.match_prefix(["d0"]) == 0
+        assert cache.match_prefix(path[:2500] + ["s2500a"]) == 2500
+        cache.check_integrity()
+        cache.release(lease)
+        cache.check_integrity()
+
+    def test_extend_never_walks_the_lease_path(self, monkeypatch):
+        calls = []
+        walk = RadixCache._lease_path
+
+        def counting(self, lease):
+            calls.append(len(lease))
+            return walk(self, lease)
+
+        monkeypatch.setattr(RadixCache, "_lease_path", counting)
+        n = 10_000
+        cache = RadixCache(budget=n + 1)
+        lease = cache.match_and_insert(["root"])
+        for i in range(n):
+            cache.extend(lease, f"t{i}")
+        assert cache.flush_count == 0
+        assert calls == [], "extend must not walk the lease path"
+        cache.release(lease)
+        assert calls == [n + 1], "release walks the path exactly once"
+        cache.check_integrity()

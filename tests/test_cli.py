@@ -172,6 +172,39 @@ class TestSimulate:
         stats = json.loads((out / "sim_stats.json").read_text())
         assert stats["charged_tokens"] == 7
 
+    def _run_with_config(self, tmp_path, script_file, capsys, cfg):
+        code = run_cli("--output-dir", tmp_path / "out", "simulate", script_file,
+                       "--config", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "input error" in err and str(cfg) in err
+        return err
+
+    def test_config_missing_is_input_error(self, tmp_path, script_file, capsys):
+        self._run_with_config(tmp_path, script_file, capsys, tmp_path / "nope.json")
+
+    def test_config_bad_json_is_input_error(self, tmp_path, script_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        self._run_with_config(tmp_path, script_file, capsys, cfg)
+
+    def test_config_not_an_object_is_input_error(self, tmp_path, script_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([64, 7]))
+        self._run_with_config(tmp_path, script_file, capsys, cfg)
+
+    @pytest.mark.parametrize("field,value", [
+        ("budget_slots", "many"), ("budget_slots", True), ("budget_slots", 64.0),
+        ("max_new_tokens", None), ("max_new_tokens", [7]),
+        ("strict_validator", "yes"), ("strict_validator", 1),
+    ])
+    def test_config_wrong_type_is_input_error(self, tmp_path, script_file, capsys,
+                                              field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        err = self._run_with_config(tmp_path, script_file, capsys, cfg)
+        assert field in err
+
     def test_pipeline_closure_with_validate(self, tmp_path, script_file):
         # A run without truncate/reject events must validate cleanly.
         out = tmp_path / "out"
@@ -323,6 +356,17 @@ class TestGenCorpus:
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "gen-corpus", "--spec-file", spec) == 0
         assert len(read_jsonl(out / "corpus.jsonl")) == 5
+
+
+    def test_negative_docs_is_input_error(self, tmp_path, capsys):
+        assert run_cli("--output-dir", tmp_path, "gen-corpus", "--docs", -1) == 2
+        assert "documents must be non-negative" in capsys.readouterr().err
+
+    def test_bad_spec_file_is_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"documents": -3}))
+        assert run_cli("--output-dir", tmp_path, "gen-corpus", "--spec-file", spec) == 2
+        assert str(spec) in capsys.readouterr().err
 
 
 class TestFlagPositions:

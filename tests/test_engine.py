@@ -1,14 +1,17 @@
 """Fork/join simulator: replay fidelity, gating, truncation, confluence."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from paratrace import (BranchState, BudgetExceeded, IllegalSchema, LedgerExhausted,
-                       RadixCache, ScriptedPolicy, TokenLedger,
+from paratrace import (BranchState, BudgetExceeded, EmissionLogView, IllegalSchema,
+                       LedgerExhausted, RadixCache, ScriptedPolicy, TokenLedger,
                        apply_repetition_penalty, parse_document, run_generation,
                        schedule_confluence_check, topology_stats,
                        validate_structure)
+from paratrace.engine import SCHEDULES
 from conftest import E1
 
 
@@ -279,3 +282,105 @@ def test_script_json_round_trip():
     assert again.prologue == policy.prologue
     assert again.branches == policy.branches
     assert again.takeaway == policy.takeaway
+
+
+class _RecordingPolicy(ScriptedPolicy):
+    """Records what each call saw through every access path of the view."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def next_token(self, branch_id, position, context=()):
+        tok = super().next_token(branch_id, position, context)
+        seen = tuple(context)
+        assert tuple(context[i] for i in range(len(context))) == seen
+        assert context[:] == seen and context[::-1] == seen[::-1]
+        if seen:
+            assert context[-1] == seen[-1]
+        self.calls.append((branch_id, seen, context, tok))
+        return tok
+
+
+def _emission_log(run):
+    """The run's global emission log, rebuilt from its event log."""
+    return [(e.branch, e.token) for e in run.events
+            if e.kind in ("emit", "truncate") and e.token is not None]
+
+
+class TestEmissionLogView:
+    def test_context_is_the_emission_prefix_at_each_call(self):
+        rng = random.Random(51)
+        for _ in range(20):
+            base = random_policy(rng, min_branches=2)
+            for schedule in SCHEDULES:
+                policy = _RecordingPolicy(base.prologue, base.branches, base.takeaway)
+                run = run_generation(policy, *fresh(max_new_tokens=rng.choice([12, 4096])),
+                                     schedule=schedule)
+                log = _emission_log(run)
+                tokens = [tok for _, tok in log]
+                for branch_id, seen, _, tok in policy.calls:
+                    # The call saw exactly what was emitted before its own token.
+                    assert seen == tuple(tokens[:len(seen)])
+                    assert log[len(seen)] == (branch_id, tok)
+
+    def test_held_view_is_a_frozen_snapshot(self):
+        base = e1_policy()
+        policy = _RecordingPolicy(base.prologue, base.branches, base.takeaway)
+        run = run_generation(policy, *fresh())
+        assert len(_emission_log(run)) > len(policy.calls[0][1]) + 1
+        for _, seen, view, _ in policy.calls:
+            assert isinstance(view, EmissionLogView)
+            assert len(view) == len(seen)
+            assert tuple(view) == seen and list(reversed(view)) == list(seen[::-1])
+            with pytest.raises(IndexError):
+                view[len(seen)]
+            assert view[len(seen) - 1:len(seen) + 5] == seen[-1:]
+
+    def test_view_has_no_mutators(self):
+        view = EmissionLogView(["a", "b"])
+        for name in ("append", "extend", "insert", "pop", "remove", "clear",
+                     "sort", "reverse", "__setitem__", "__delitem__", "__iadd__"):
+            assert not hasattr(view, name), name
+        with pytest.raises(TypeError):
+            view[0] = "x"
+        with pytest.raises(AttributeError):
+            view.extra = 1
+
+    def test_slices_match_list_slices(self):
+        log = [f"t{i}" for i in range(9)]
+        view = EmissionLogView(log)
+        log += ["later", "later"]
+        reference = log[:9]
+        for start in (None, -12, -3, 0, 2, 9, 12):
+            for stop in (None, -12, -2, 0, 5, 9, 12):
+                for step in (None, 1, 2, -1, -3):
+                    key = slice(start, stop, step)
+                    assert view[key] == tuple(reference[key]), key
+        assert view[-9] == "t0" and view.index("t4") == 4 and "later" not in view
+
+
+# Pinned sha256 of the event logs below: speed work on the engine and the
+# cache must leave every log byte-for-byte the same.
+GOLDEN_EVENT_DIGEST = "fcb2175443bef73e05e9f0b542a2a52d11e644a8db29d6313053c1f284d15ad1"
+
+
+def test_event_logs_match_golden_digest():
+    digest = hashlib.sha256()
+    kinds = set()
+    for schedule in SCHEDULES:
+        rng = random.Random(2024)
+        # One small cache shared by sixty runs forces flushes of earlier
+        # runs' released paths; the tight ledgers force truncations.
+        cache = RadixCache(64)
+        for _ in range(60):
+            policy = random_policy(rng)
+            ledger = TokenLedger(rng.choice([6, 11, 17, 4096]))
+            run = run_generation(policy, cache, ledger, schedule=schedule)
+            for event in run.events:
+                kinds.add(event.kind)
+                digest.update(json.dumps(event.to_json_dict(), sort_keys=True).encode())
+                digest.update(b"\n")
+            digest.update(b"--\n")
+    assert {"flush", "truncate"} <= kinds
+    assert digest.hexdigest() == GOLDEN_EVENT_DIGEST
