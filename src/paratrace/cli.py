@@ -24,8 +24,10 @@ from .errors import (BudgetExceeded, IllegalSchema, InputError, LedgerExhausted,
                      ParseError, StructureError)
 from .ledger import TokenLedger
 from .metrics import avg_at_k, doc_is_parallel, parallel_rate
-from .rewards import accept_filter, format_reward, stage1_reward, stage3_reward
-from .tracefile import (TraceDoc, dumps, read_jsonl, read_outcomes,
+from .rewards import format_reward, stage1_reward, stage3_reward
+# Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
+from .rewards import accept_filter  # noqa: F401
+from .tracefile import (TraceDoc, dumps, read_jsonl_numbered, read_outcomes,
                         read_rollout_batch, read_trace, write_jsonl,
                         write_manifest)
 from .topology import build_attention_mask, build_position_ids, topology_stats
@@ -41,6 +43,19 @@ def _out(args, *parts) -> Path:
     path = Path(args.output_dir).joinpath(*parts)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _check_file_ids(docs, path) -> None:
+    """Each id must name one file inside its output directory, once."""
+    seen = set()
+    for lineno, doc in docs:
+        doc_id = doc.doc_id
+        if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0"):
+            raise InputError(f"document id {doc_id!r} is not a safe file name",
+                             str(path), lineno)
+        if doc_id in seen:
+            raise InputError(f"duplicate document id {doc_id!r}", str(path), lineno)
+        seen.add(doc_id)
 
 
 def _doc_pred(tokens) -> str | None:
@@ -69,6 +84,7 @@ def cmd_validate(args):
 
 def cmd_mask(args):
     docs = read_trace(args.trace)
+    _check_file_ids(docs, args.trace)
     status = []
     outputs = []
     all_ok = True
@@ -98,6 +114,7 @@ def cmd_mask(args):
 
 def cmd_posid(args):
     docs = read_trace(args.trace)
+    _check_file_ids(docs, args.trace)
     status = []
     outputs = []
     all_ok = True
@@ -246,8 +263,12 @@ def cmd_filter(args):
     docs = read_trace(args.trace)
     gold_by_id = {}
     if args.answers:
-        for row in read_jsonl(args.answers):
-            gold_by_id[str(row["id"])] = str(row["gold"])
+        for lineno, row in read_jsonl_numbered(args.answers):
+            try:
+                gold_by_id[str(row["id"])] = str(row["gold"])
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"bad answer record: {exc!r}", str(args.answers),
+                                 lineno) from exc
     rows = []
     accepted_docs = []
     for _, doc in docs:
@@ -257,10 +278,7 @@ def cmd_filter(args):
         pred = _doc_pred(doc.tokens)
         report = validate_structure(doc.tokens, strict=args.strict)
         correct = pred is not None and pred == gold
-        if args.strict:
-            accepted = correct and report.ok
-        else:
-            accepted = accept_filter(doc.tokens, pred, gold)
+        accepted = correct and report.ok
         rows.append({"id": doc.doc_id, "accepted": accepted, "correct": correct,
                      "format_ok": report.ok})
         if accepted:
@@ -385,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advantage", help="compute advantages over a rollout batch")
     p.add_argument("batch")
     p.add_argument("--algo", choices=("dapo", "papo"), required=True)
-    p.add_argument("--eps-low", type=float, default=0.2)
-    p.add_argument("--eps-high", type=float, default=0.28)
     p.set_defaults(fn=cmd_advantage, inputs=lambda a: [a.batch])
 
     p = sub.add_parser("reward", help="score a rollout batch")

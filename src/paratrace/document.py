@@ -10,9 +10,15 @@ the text after the last block is the user-facing epilogue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import MisplacedTag, UnbalancedTag
-from .tags import Tag, Token, _TAG_SPLIT, as_tokens, tag_of, token_texts
+from .tags import (_TAG_SPLIT, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN,
+                   STEP_CLOSE, STEP_OPEN, TAG_STRINGS, TAKEAWAY_CLOSE, TAKEAWAY_OPEN,
+                   Token, tag_events, token_texts)
+
+# Token() without its checks, which split parts always pass.
+_new_token = partial(str.__new__, Token)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -21,12 +27,14 @@ def tokenize(text: str) -> list[Token]:
     Reserved tag strings always come out as their own tokens, even when the
     input glues them to neighbouring text.
     """
-    tokens: list[Token] = []
-    for chunk in text.split():
-        for part in _TAG_SPLIT.split(chunk):
-            if part:
-                tokens.append(Token(part))
-    return tokens
+    chunks = text.split()
+    # Every tag holds one "<"; if each "<" sits in a chunk that is exactly a
+    # tag, no tag is glued to other text and every chunk is one token.
+    if text.count("<") != sum(map(TAG_STRINGS.__contains__, chunks)):
+        chunks = [part for chunk in chunks
+                  for part in (_TAG_SPLIT.split(chunk) if "<" in chunk else (chunk,))
+                  if part]
+    return list(map(_new_token, chunks))
 
 
 def serialize(tokens) -> str:
@@ -76,9 +84,9 @@ class ParallelBlock:
 
 @dataclass
 class ReasoningDoc:
-    """Parsed trace: block tree over the token sequence."""
+    """Parsed trace: block tree over the token texts."""
 
-    tokens: list[Token]
+    tokens: list[str]
     blocks: list[ParallelBlock]
     epilogue_span: Span | None
     boxed_answer: str | None
@@ -92,7 +100,7 @@ class ReasoningDoc:
             stack.extend(reversed(block.children))
 
     def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
     def reconstruct_texts(self) -> list[str]:
         """Rebuild the token texts from the span structure.
@@ -164,54 +172,51 @@ def parse_document(tokens) -> ReasoningDoc:
     frames: list[_Frame] = []
     blocks: list[ParallelBlock] = []
 
-    for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is None:
-            continue
+    for i, tag in tag_events(texts):
         top = frames[-1] if frames else None
 
-        if tag is Tag.GUIDELINE_OPEN:
+        if tag is GUIDELINE_OPEN:
             if top is None:
                 frames.append(_Frame(i))
             elif top.phase == "steps" and top.open_at is not None:
                 frames.append(_Frame(i))  # nested block inside an open step
             else:
                 raise MisplacedTag("block may only open at top level or inside a step", i)
-        elif tag is Tag.PLAN_OPEN:
+        elif tag is PLAN_OPEN:
             if top is None or top.phase != "header" or top.open_at is not None:
                 raise MisplacedTag("plan outside a guideline header", i)
             top.open_at = i
-        elif tag is Tag.PLAN_CLOSE:
+        elif tag is PLAN_CLOSE:
             if top is None or top.phase != "header" or top.open_at is None:
                 raise UnbalancedTag("plan close without open plan", i)
             top.plans.append(Span(top.open_at, i + 1))
             top.open_at = None
-        elif tag is Tag.GUIDELINE_CLOSE:
+        elif tag is GUIDELINE_CLOSE:
             if top is None or top.phase != "header":
                 raise UnbalancedTag("guideline close without open header", i)
             if top.open_at is not None:
                 raise UnbalancedTag("guideline close with an open plan", i)
             top.guideline_span = Span(top.start, i + 1)
             top.phase = "steps"
-        elif tag is Tag.STEP_OPEN:
+        elif tag is STEP_OPEN:
             if top is None:
                 raise MisplacedTag("step with no enclosing block", i)
             if top.phase != "steps" or top.open_at is not None:
                 raise MisplacedTag("step must follow the guideline close", i)
             top.open_at = i
-        elif tag is Tag.STEP_CLOSE:
+        elif tag is STEP_CLOSE:
             if top is None or top.phase != "steps" or top.open_at is None:
                 raise UnbalancedTag("step close without open step", i)
             top.steps.append(Span(top.open_at, i + 1))
             top.open_at = None
-        elif tag is Tag.TAKEAWAY_OPEN:
+        elif tag is TAKEAWAY_OPEN:
             if top is None:
                 raise MisplacedTag("takeaway with no enclosing block", i)
             if top.phase != "steps" or top.open_at is not None:
                 raise MisplacedTag("takeaway must follow the step region", i)
             top.phase = "takeaway"
             top.takeaway_start = i
-        elif tag is Tag.TAKEAWAY_CLOSE:
+        elif tag is TAKEAWAY_CLOSE:
             if top is None or top.phase != "takeaway":
                 raise UnbalancedTag("takeaway close without open takeaway", i)
             block = ParallelBlock(
@@ -243,7 +248,7 @@ def parse_document(tokens) -> ReasoningDoc:
     if epilogue is not None:
         boxed = extract_boxed(" ".join(texts[epilogue.start:epilogue.end]))
     return ReasoningDoc(
-        tokens=as_tokens(tokens),
+        tokens=texts,
         blocks=blocks,
         epilogue_span=epilogue,
         boxed_answer=boxed,

@@ -1,6 +1,7 @@
 """Parallel attention-mask and position-id construction.
 
-Both builders run a single streaming pass over the tag stream. Sibling step
+The mask, the position ids and the topology stats each come from one walk
+over the tag events, after one validator pass that gates them. Sibling step
 regions of a block are mutually blocked in the mask, and their position ids
 all restart one past the guideline close, so a document's decode depth is
 ``max(position) + 1`` instead of its token count.
@@ -18,7 +19,8 @@ import numpy as np
 
 from .document import Span, parse_document
 from .errors import ParseError, StructureError
-from .tags import Tag, tag_of, token_texts
+from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, STEP_CLOSE, STEP_OPEN, TAKEAWAY_OPEN,
+                   tag_events, token_texts)
 from .validation import validate_structure
 
 DENSE_LIMIT = 4096
@@ -96,51 +98,69 @@ class AttentionMask:
         return self.length == other.length and np.array_equal(self.dense(), other.dense())
 
 
-def _require_balanced(texts: list[str]) -> None:
-    report = validate_structure(texts)
-    for v in report.violations:
-        if v.category == 1:
-            raise StructureError(f"tag structure broken: {v.message}", v.index)
-
-
 class _TopoFrame:
     __slots__ = ("steps", "open_step", "p_end", "l_max")
 
     def __init__(self):
-        self.steps: list[Span] = []
-        self.open_step: int | None = None
+        self.steps: list[tuple[int, int]] = []
+        self.open_step = -1
         self.p_end = -1
         self.l_max = 0
 
 
-def build_attention_mask(tokens) -> AttentionMask:
-    """Streaming mask builder.
+def _walk(tokens):
+    """Gate ``tokens`` on the validator, then walk their tag events once.
 
-    Starts from the causal mask and, when a block joins at its takeaway,
-    blocks every ordered pair of distinct sibling step regions. Raises
-    :class:`StructureError` if the tag structure is unbalanced.
+    Returns ``(texts, steps, positions, blocks)``, with each block's sibling
+    step spans as ``(start, end)`` pairs and its :class:`BlockStats`, blocks
+    in join order. A step open restarts positions one past the guideline
+    close and the takeaway resumes one past the longest step; between such
+    shifts positions rise by one per token, so each run is one ``range``.
     """
     texts = token_texts(tokens)
-    _require_balanced(texts)
-
+    for v in validate_structure(texts).violations:
+        if v.category == 1:
+            raise StructureError(f"tag structure broken: {v.message}", v.index)
     stack: list[_TopoFrame] = []
-    blocked: list[Rect] = []
-    for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is Tag.GUIDELINE_OPEN:
+    steps: list[list[tuple[int, int]]] = []
+    blocks: list[BlockStats] = []
+    pos: list[int] = []
+    shift = 0  # pos[i] == i + shift within the current run
+    for i, tag in tag_events(texts):
+        if tag is GUIDELINE_OPEN:
             stack.append(_TopoFrame())
-        elif tag is Tag.STEP_OPEN:
-            stack[-1].open_step = i
-        elif tag is Tag.STEP_CLOSE:
-            frame = stack[-1]
-            frame.steps.append(Span(frame.open_step, i + 1))
-            frame.open_step = None
-        elif tag is Tag.TAKEAWAY_OPEN:
-            frame = stack.pop()
-            for j, a in enumerate(frame.steps):
-                for k, b in enumerate(frame.steps):
-                    if j != k:
-                        blocked.append(Rect(rows=a, cols=b))
+        elif tag is GUIDELINE_CLOSE:
+            stack[-1].p_end = i + shift
+        elif tag is STEP_OPEN:
+            top = stack[-1]
+            top.open_step = i
+            pos += range(len(pos) + shift, i + shift)
+            shift = top.p_end + 1 - i
+        elif tag is STEP_CLOSE:
+            top = stack[-1]
+            top.steps.append((top.open_step, i + 1))
+            top.l_max = max(top.l_max, i + shift - top.p_end)
+        elif tag is TAKEAWAY_OPEN:
+            top = stack.pop()
+            steps.append(top.steps)
+            blocks.append(BlockStats(len(top.steps), top.l_max))
+            pos += range(len(pos) + shift, i + shift)
+            shift = top.p_end + top.l_max + 1 - i
+    pos += range(len(pos) + shift, len(texts) + shift)
+    return texts, steps, pos, blocks
+
+
+def build_attention_mask(tokens) -> AttentionMask:
+    """Mask builder over one structural pass.
+
+    Starts from the causal mask and, for each block in join order, blocks
+    every ordered pair of distinct sibling step regions.
+    """
+    texts, steps, _, _ = _walk(tokens)
+    blocked: list[Rect] = []
+    for block_steps in steps:
+        spans = [Span(a, b) for a, b in block_steps]
+        blocked += [Rect(rows=a, cols=b) for a in spans for b in spans if a is not b]
     return AttentionMask(len(texts), tuple(blocked))
 
 
@@ -148,7 +168,7 @@ def mask_from_spans_oracle(tokens) -> AttentionMask:
     """Independent mask construction from the parsed block tree.
 
     Enumerates step spans via :func:`parse_document` and zeroes rectangles
-    directly in a dense array, bypassing the streaming stack entirely.
+    directly in a dense array, bypassing the tag walk entirely.
     """
     texts = token_texts(tokens)
     try:
@@ -168,36 +188,12 @@ def mask_from_spans_oracle(tokens) -> AttentionMask:
 
 
 def build_position_ids(tokens) -> list[int]:
-    """Streaming position-id builder.
+    """Parallel position ids over one structural pass.
 
-    Positions start sequential. Each step open resets the running position
-    to one past the guideline close; each step close records the longest
-    step; the takeaway realigns the suffix so the join token sits one past
-    the longest step. Raises :class:`StructureError` on unbalanced tags.
+    Sibling steps all restart one past their guideline close, and the
+    takeaway sits one past the longest step.
     """
-    texts = token_texts(tokens)
-    _require_balanced(texts)
-
-    n = len(texts)
-    pos = np.arange(n, dtype=np.int64)
-    stack: list[_TopoFrame] = []
-    for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is None:
-            continue
-        top = stack[-1] if stack else None
-        if tag is Tag.GUIDELINE_OPEN:
-            stack.append(_TopoFrame())
-        elif tag is Tag.GUIDELINE_CLOSE:
-            top.p_end = int(pos[i])
-        elif tag is Tag.STEP_OPEN and top is not None and top.p_end >= 0:
-            pos[i:] -= int(pos[i]) - top.p_end - 1
-        elif tag is Tag.STEP_CLOSE:
-            top.l_max = max(top.l_max, int(pos[i]) - top.p_end)
-        elif tag is Tag.TAKEAWAY_OPEN:
-            pos[i:] -= int(pos[i]) - top.p_end - top.l_max - 1
-            stack.pop()
-    return [int(p) for p in pos]
+    return _walk(tokens)[2]
 
 
 @dataclass(frozen=True)
@@ -231,27 +227,10 @@ def topology_stats(tokens) -> TopologyStats:
     The compression ratio (total tokens over critical path) is the simulated
     speedup of parallel decode relative to left-to-right decode.
     """
-    texts = token_texts(tokens)
+    texts, _, pos, blocks = _walk(tokens)
     if not texts:
         return TopologyStats(0, 0, 1.0, ())
-    pos = build_position_ids(texts)
     critical = max(pos) + 1
-
-    stack: list[_TopoFrame] = []
-    blocks: list[BlockStats] = []
-    for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is Tag.GUIDELINE_OPEN:
-            stack.append(_TopoFrame())
-        elif tag is Tag.GUIDELINE_CLOSE:
-            stack[-1].p_end = pos[i]
-        elif tag is Tag.STEP_CLOSE:
-            frame = stack[-1]
-            frame.steps.append(Span(i, i + 1))  # count only; extent unused here
-            frame.l_max = max(frame.l_max, pos[i] - frame.p_end)
-        elif tag is Tag.TAKEAWAY_OPEN:
-            frame = stack.pop()
-            blocks.append(BlockStats(len(frame.steps), frame.l_max))
     return TopologyStats(
         total_tokens=len(texts),
         critical_path=critical,

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .document import ReasoningDoc, extract_boxed
-from .tags import Tag, tag_of, token_texts
+from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
+                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events, token_texts)
 
 CATEGORY_NAMES = {
     1: "tag_balance",
@@ -84,9 +85,8 @@ def validate_structure(doc_or_tokens, strict: bool = False) -> ValidationReport:
     additionally reported as category-1 violations.
     """
     if isinstance(doc_or_tokens, ReasoningDoc):
-        texts = doc_or_tokens.texts()
-    else:
-        texts = token_texts(doc_or_tokens)
+        doc_or_tokens = doc_or_tokens.tokens
+    texts = token_texts(doc_or_tokens)
 
     violations: list[Violation] = []
 
@@ -97,13 +97,10 @@ def validate_structure(doc_or_tokens, strict: bool = False) -> ValidationReport:
     scanned: list[_Scan] = []
     last_top_close: int | None = None
 
-    for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is None:
-            continue
+    for i, tag in tag_events(texts):
         top = stack[-1] if stack else None
 
-        if tag is Tag.GUIDELINE_OPEN:
+        if tag is GUIDELINE_OPEN:
             if top is None:
                 stack.append(_Scan(i, 0))
             elif top.phase == "steps" and top.open_at is not None:
@@ -112,14 +109,14 @@ def validate_structure(doc_or_tokens, strict: bool = False) -> ValidationReport:
                 stack.append(_Scan(i, top.depth + 1))
             else:
                 flag(1, i, "block may only open at top level or inside a step")
-        elif tag is Tag.PLAN_OPEN:
+        elif tag is PLAN_OPEN:
             if top is not None and top.phase == "header" and top.open_at is None:
                 top.open_at = i
             else:
                 flag(1, i, "plan outside a guideline header")
                 if top is None:
                     flag(5, i, "plan tag outside block structure")
-        elif tag is Tag.PLAN_CLOSE:
+        elif tag is PLAN_CLOSE:
             if top is not None and top.phase == "header" and top.open_at is not None:
                 top.open_at = None
                 top.plan_count += 1
@@ -127,21 +124,21 @@ def validate_structure(doc_or_tokens, strict: bool = False) -> ValidationReport:
                 flag(1, i, "plan close without open plan")
                 if top is None:
                     flag(5, i, "plan tag outside block structure")
-        elif tag is Tag.GUIDELINE_CLOSE:
+        elif tag is GUIDELINE_CLOSE:
             if top is not None and top.phase == "header" and top.open_at is None:
                 top.phase = "steps"
             else:
                 flag(1, i, "guideline close without open header")
                 if top is None:
                     flag(5, i, "guideline tag outside block structure")
-        elif tag is Tag.STEP_OPEN:
+        elif tag is STEP_OPEN:
             if top is not None and top.phase == "steps" and top.open_at is None:
                 top.open_at = i
             else:
                 flag(1, i, "step must follow the guideline close")
                 if top is None:
                     flag(5, i, "step tag outside block structure")
-        elif tag is Tag.STEP_CLOSE:
+        elif tag is STEP_CLOSE:
             if top is not None and top.phase == "steps" and top.open_at is not None:
                 top.open_at = None
                 top.step_count += 1
@@ -149,14 +146,14 @@ def validate_structure(doc_or_tokens, strict: bool = False) -> ValidationReport:
                 flag(1, i, "step close without open step")
                 if top is None:
                     flag(5, i, "step tag outside block structure")
-        elif tag is Tag.TAKEAWAY_OPEN:
+        elif tag is TAKEAWAY_OPEN:
             if top is not None and top.phase == "steps" and top.open_at is None:
                 top.phase = "takeaway"
             else:
                 flag(1, i, "takeaway must follow the step region")
                 if top is None:
                     flag(5, i, "takeaway tag outside block structure")
-        elif tag is Tag.TAKEAWAY_CLOSE:
+        elif tag is TAKEAWAY_CLOSE:
             if top is not None and top.phase == "takeaway":
                 top.takeaway_count += 1
                 scanned.append(top)

@@ -117,6 +117,26 @@ class TestMaskPosid:
         pos = json.loads((out / "positions" / "bare.pos.json").read_text())
         assert pos == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 12, 13, 14]
 
+    @pytest.mark.parametrize("command", ["mask", "posid"])
+    @pytest.mark.parametrize("bad_id", ["../x", "../../x", "a/b", "..", ".", "", "a\\b"])
+    def test_unsafe_ids_write_nothing(self, tmp_path, capsys, command, bad_id):
+        trace = tmp_path / "t.jsonl"
+        write_jsonl(trace, [{"id": "ok", "tokens": E1_FULL},
+                            {"id": bad_id, "tokens": E1_FULL}])
+        out = tmp_path / "deep" / "out"
+        assert run_cli("--output-dir", out, command, trace) == 2
+        assert f"{trace}:2" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trace]
+
+    @pytest.mark.parametrize("command", ["mask", "posid"])
+    def test_duplicate_ids_rejected(self, tmp_path, capsys, command):
+        trace = tmp_path / "t.jsonl"
+        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}, {"id": "b", "tokens": E1},
+                            {"id": "a", "tokens": E1}])
+        assert run_cli("--output-dir", tmp_path / "out", command, trace) == 2
+        assert f"{trace}:3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_outputs_and_stats(self, tmp_path, script_file):
@@ -308,6 +328,28 @@ class TestRewardAndFilter:
         rows = read_jsonl(out / "filter_report.jsonl")
         assert rows[0]["accepted"] is True
 
+    @pytest.mark.parametrize("row", ['{"id": "a"}', '{"gold": "42"}', '["a", "42"]',
+                                     '"a"', "null"])
+    def test_filter_bad_answer_rows(self, tmp_path, capsys, row):
+        trace = tmp_path / "t.jsonl"
+        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}])
+        answers = tmp_path / "answers.jsonl"
+        answers.write_text('{"id": "b", "gold": "1"}\n\n' + row + "\n")
+        assert run_cli("--output-dir", tmp_path / "o", "filter", trace,
+                       "--answers", answers) == 2
+        assert f"{answers}:3" in capsys.readouterr().err
+
+    def test_filter_strict_rejects_plan_step_mismatch(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        mismatched = E1_FULL[:7] + ["<plan>", "3:", "</plan>"] + E1_FULL[7:]
+        write_jsonl(trace, [{"id": "m", "tokens": mismatched, "gold": "42"}])
+        for flags, accepted in (((), True), (("--strict",), False)):
+            out = tmp_path / str(accepted)
+            assert run_cli("--output-dir", out, "filter", trace, *flags) == 0
+            row = read_jsonl(out / "filter_report.jsonl")[0]
+            assert row == {"id": "m", "accepted": accepted, "correct": True,
+                           "format_ok": accepted}
+
 
 class TestMetrics:
     def test_report(self, tmp_path, trace_file):
@@ -397,3 +439,14 @@ class TestManifest:
                                for o in data["outputs"]]
             manifests.append(json.dumps(data, sort_keys=True))
         assert manifests[0] == manifests[1]
+
+    def test_advantage_config_echo(self, tmp_path):
+        batch = tmp_path / "batch.jsonl"
+        write_jsonl(batch, [{"id": r, "group": "g", "tokens": E1_FULL,
+                             "logprobs": [-0.1] * len(E1_FULL), "pred": "42",
+                             "gold": "42"} for r in "ab"])
+        manifest = tmp_path / "manifest.json"
+        assert run_cli("--output-dir", tmp_path / "o", "--manifest", manifest,
+                       "advantage", batch, "--algo", "papo") == 0
+        config = json.loads(manifest.read_text())["config"]
+        assert config == {"algo": "papo", "batch": str(batch), "seed": None}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from paratrace import (MisplacedTag, Span, Token, UnbalancedTag, extract_boxed,
+from paratrace import (MisplacedTag, Span, Tag, Token, UnbalancedTag, extract_boxed,
                        parse_document, serialize, tokenize)
 from conftest import E1, make_corpus
 
@@ -53,6 +53,25 @@ class TestToken:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
             Token("<step>", kind="content")
+
+    def test_wrong_tag_id_rejected(self):
+        assert Token("<step>", kind="tag", tag_id=Tag.STEP_OPEN) == "<step>"
+        with pytest.raises(ValueError):
+            Token("<step>", tag_id=Tag.STEP_CLOSE)
+        with pytest.raises(ValueError):
+            Token("step", tag_id=Tag.STEP_OPEN)
+
+    def test_token_is_its_text(self):
+        token = Token("a")
+        assert token == "a" and isinstance(token, str)
+        assert type(token.text) is str and token.text == "a"
+        assert {token: 1}["a"] == 1
+
+    def test_parsed_doc_holds_texts(self):
+        tokens = tokenize(" ".join(E1) + " \\boxed{1}")
+        doc = parse_document(tokens)
+        assert doc.tokens == E1 + ["\\boxed{1}"]
+        assert doc.texts() == doc.tokens and doc.texts() is not doc.tokens
 
 
 class TestParse:
