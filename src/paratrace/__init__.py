@@ -7,6 +7,9 @@ math, and evaluation metrics. The ``paratrace`` CLI binds it all to
 line-oriented JSON files.
 """
 
+# Defined before the imports: tracefile reads it for run manifests.
+__version__ = "0.1.0"
+
 from .advantages import (AdvantageTable, BatchAdvantage, GroupAdvantage,
                          dapo_advantage, dapo_surrogate, dynamic_sampling_check,
                          papo_advantage, papo_group_values, papo_surrogate,
@@ -31,5 +34,3 @@ from .topology import (AttentionMask, BlockStats, Rect, TopologyStats,
                        build_attention_mask, build_position_ids,
                        mask_from_spans_oracle, topology_stats)
 from .validation import ValidationReport, Violation, validate_structure
-
-__version__ = "0.1.0"

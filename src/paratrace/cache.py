@@ -59,15 +59,19 @@ class RadixCache:
 
     def match_prefix(self, tokens) -> int:
         """Length of the longest stored prefix of ``tokens``. No mutation."""
+        return len(self._descend(tokens)[1])
+
+    def _descend(self, tokens) -> tuple[_Node, list[_Node]]:
+        """The deepest stored node along ``tokens`` and the path down to it."""
         node = self._root
-        matched = 0
+        path: list[_Node] = []
         for tok in tokens:
             child = node.children.get(tok)
             if child is None:
                 break
             node = child
-            matched += 1
-        return matched
+            path.append(child)
+        return node, path
 
     # -- leases ----------------------------------------------------------
 
@@ -79,17 +83,8 @@ class RadixCache:
         not fit, raises :class:`BudgetExceeded` with the cache unchanged.
         """
         tokens = list(tokens)
-        node = self._root
-        path: list[_Node] = []
-        matched = 0
-        for tok in tokens:
-            child = node.children.get(tok)
-            if child is None:
-                break
-            node = child
-            path.append(child)
-            matched += 1
-
+        node, path = self._descend(tokens)
+        matched = len(path)
         need = len(tokens) - matched
         self._reserve(need, protect=path)
         for tok in tokens[matched:]:
@@ -183,7 +178,7 @@ class RadixCache:
         path.reverse()
         return path
 
-    # -- integrity (used by tests and the CLI's invariant checks) --------
+    # -- integrity (a debugging aid for tests; the CLI never calls it) ----
 
     def check_integrity(self) -> None:
         count = 0

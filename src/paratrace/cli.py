@@ -16,20 +16,21 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .advantages import dapo_advantage, dynamic_sampling_check, papo_advantage
+from .advantages import (EPSILON, dapo_advantage, dynamic_sampling_check,
+                         papo_advantage)
 from .cache import RadixCache
 from .document import parse_document
 from .engine import ScriptedPolicy, run_generation
 from .errors import (BudgetExceeded, IllegalSchema, InputError, LedgerExhausted,
                      ParseError, StructureError)
 from .ledger import TokenLedger
-from .metrics import avg_at_k, doc_is_parallel, parallel_rate
+from .metrics import avg_at_k, best_at_k, parallel_rate
 from .rewards import format_reward, stage1_reward, stage3_reward
 # Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
 from .rewards import accept_filter  # noqa: F401
-from .tracefile import (TraceDoc, dumps, read_jsonl_numbered, read_outcomes,
-                        read_rollout_batch, read_trace, write_jsonl,
-                        write_manifest)
+from .tracefile import (TraceDoc, dumps, loads, read_jsonl_numbered,
+                        read_outcomes, read_rollout_batch, read_trace,
+                        write_jsonl, write_manifest)
 from .topology import build_attention_mask, build_position_ids, topology_stats
 from .validation import validate_structure
 
@@ -45,12 +46,14 @@ def _out(args, *parts) -> Path:
     return path
 
 
-def _check_file_ids(docs, path) -> None:
-    """Each id must name one file inside its output directory, once."""
+def _check_file_ids(docs, path, suffix: str) -> None:
+    """Each id must name one file inside its output directory, once. The
+    file name, ``id + suffix``, must fit the usual 255-byte name limit."""
     seen = set()
     for lineno, doc in docs:
         doc_id = doc.doc_id
-        if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0"):
+        if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0") \
+                or len((doc_id + suffix).encode("utf-8")) > 255:
             raise InputError(f"document id {doc_id!r} is not a safe file name",
                              str(path), lineno)
         if doc_id in seen:
@@ -84,7 +87,8 @@ def cmd_validate(args):
 
 def cmd_mask(args):
     docs = read_trace(args.trace)
-    _check_file_ids(docs, args.trace)
+    suffix = ".mask.json" if args.format == "coords" else ".mask.bin"
+    _check_file_ids(docs, args.trace, suffix)
     status = []
     outputs = []
     all_ok = True
@@ -93,11 +97,10 @@ def cmd_mask(args):
                "length": len(doc.tokens), "error": None}
         try:
             mask = build_attention_mask(doc.tokens)
+            path = _out(args, "masks", doc.doc_id + suffix)
             if args.format == "coords":
-                path = _out(args, "masks", f"{doc.doc_id}.mask.json")
                 path.write_text(dumps(mask.to_coords_dict()) + "\n", encoding="utf-8")
             else:
-                path = _out(args, "masks", f"{doc.doc_id}.mask.bin")
                 path.write_bytes(mask.to_dense_bytes())
             outputs.append(path)
         except StructureError as exc:
@@ -114,7 +117,7 @@ def cmd_mask(args):
 
 def cmd_posid(args):
     docs = read_trace(args.trace)
-    _check_file_ids(docs, args.trace)
+    _check_file_ids(docs, args.trace, ".pos.json")
     status = []
     outputs = []
     all_ok = True
@@ -123,7 +126,7 @@ def cmd_posid(args):
                "length": len(doc.tokens), "error": None}
         try:
             pos = build_position_ids(doc.tokens)
-            path = _out(args, "positions", f"{doc.doc_id}.pos.json")
+            path = _out(args, "positions", doc.doc_id + ".pos.json")
             path.write_text(dumps(pos) + "\n", encoding="utf-8")
             outputs.append(path)
         except StructureError as exc:
@@ -144,8 +147,8 @@ def _read_json_object(path, what: str) -> dict:
     if not path.is_file():
         raise InputError("file not found", str(path))
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = loads(path.read_text(encoding="utf-8"))
+    except (UnicodeError, json.JSONDecodeError) as exc:
         raise InputError(f"bad {what}: {exc}", str(path)) from exc
     if not isinstance(data, dict):
         raise InputError(f"bad {what}: expected a JSON object", str(path))
@@ -234,7 +237,7 @@ def cmd_advantage(args):
                 rows.append({"id": record.record_id, "group": record.group_id,
                              "advantage": adv, "num_tokens": len(record.tokens),
                              "group_mean": result.mean, "divisor": result.std,
-                             "epsilon": 1e-6, "discarded": not keep})
+                             "epsilon": EPSILON, "discarded": not keep})
     path = _out(args, "advantages.jsonl")
     write_jsonl(path, rows)
     print(f"advantages for {len(rows)} records ({args.algo})")
@@ -306,17 +309,22 @@ def cmd_metrics(args):
         raise InputError("no outcomes", args.outcomes)
 
     avg_scores = [avg_at_k(sum(v), len(v)) for v in by_id.values()]
-    best_scores = [1.0 if any(v) else 0.0 for v in by_id.values()]
+    best_scores = [float(best_at_k(v)) for v in by_id.values()]
 
+    # One structure call per document: topology_stats fails exactly where
+    # the parser does, and a block with two or more branches is what
+    # doc_is_parallel looks for. Empty documents count as not parallel.
     parallel_flags = []
     speedups = []
     for doc in docs:
         try:
-            parsed = parse_document(doc.tokens)
-            parallel_flags.append(doc_is_parallel(parsed))
-            speedups.append(topology_stats(doc.tokens).compression_ratio)
-        except (ParseError, ValueError):
-            parallel_flags.append(False)
+            stats = topology_stats(doc.tokens) if doc.tokens else None
+        except StructureError:
+            stats = None
+        parallel_flags.append(stats is not None
+                              and any(b.branch_count >= 2 for b in stats.blocks))
+        if stats is not None:
+            speedups.append(stats.compression_ratio)
 
     report = {
         "avg_at_k": sum(avg_scores) / len(avg_scores),

@@ -9,12 +9,13 @@ decodes sequentially again.
 Everything is replayable: identical (policy, budgets, schedule) inputs yield
 identical event logs. When the ledger runs dry the simulator force-closes
 whatever is open so the output still parses; forced tokens are recorded as
-``truncate`` events and are not charged.
+``truncate`` events and are not charged. The validator gates the whole
+scripted header even when the ledger runs dry inside it, so an illegal
+header is refused at every budget.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -23,16 +24,19 @@ from .cache import CacheLease, RadixCache
 from .document import ReasoningDoc, parse_document
 from .errors import IllegalSchema, LedgerExhausted
 from .ledger import TokenLedger
-from .tags import Tag, tag_of
+from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
+                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, is_tag, tag_events)
 from .topology import TopologyStats, topology_stats
-
-EVENT_KINDS = ("emit", "fork", "join", "flush", "truncate", "reject")
 
 SCHEDULES = ("round_robin", "reverse_round_robin", "branch_major")
 
-# Hoisted out of the per-token loop: enum ``.value`` lookups are not free.
-_STEP_OPEN = Tag.STEP_OPEN.value
-_STEP_CLOSE = Tag.STEP_CLOSE.value
+# Plain ``str`` texts: emitted tokens must not be Tag members, whose
+# f-string form on Python 3.11 is the member name, not the tag.
+_STEP_OPEN, _STEP_CLOSE, _TAKEAWAY_OPEN, _TAKEAWAY_CLOSE = (
+    STEP_OPEN.value, STEP_CLOSE.value, TAKEAWAY_OPEN.value, TAKEAWAY_CLOSE.value)
+# The token that closes each opening tag.
+_CLOSER = {GUIDELINE_OPEN: GUIDELINE_CLOSE.value, PLAN_OPEN: PLAN_CLOSE.value,
+           STEP_OPEN: _STEP_CLOSE, TAKEAWAY_OPEN: _TAKEAWAY_CLOSE}
 
 
 @dataclass(frozen=True)
@@ -53,14 +57,18 @@ class BranchState:
     parent_prefix_len: int
     emitted: list[str] = field(default_factory=list)
     status: str = "active"  # active | closed | truncated
-    step_tokens: Counter = field(default_factory=Counter)
     lease: CacheLease | None = None
 
     def record(self, token: str) -> None:
-        if token == _STEP_OPEN:
-            self.step_tokens.clear()
         self.emitted.append(token)
-        self.step_tokens[token] += 1
+
+    @property
+    def step_tokens(self) -> list[str]:
+        """The repetition-penalty window: the tokens from the last step open on."""
+        emitted = self.emitted
+        if _STEP_OPEN not in emitted:
+            return emitted[:]
+        return emitted[len(emitted) - 1 - emitted[::-1].index(_STEP_OPEN):]
 
 
 class EmissionLogView(Sequence):
@@ -113,18 +121,15 @@ class ScriptedPolicy:
         if not self.branches:
             raise ValueError("script declares no branches")
         for bid, stream in self.branches.items():
-            if not stream or stream[0] != Tag.STEP_OPEN.value \
-                    or stream[-1] != Tag.STEP_CLOSE.value:
+            if not stream or stream[0] != _STEP_OPEN or stream[-1] != _STEP_CLOSE:
                 raise ValueError(f"branch {bid!r} must span one step region")
-            if any(tag_of(t) is not None for t in stream[1:-1]):
+            if any(map(is_tag, stream[1:-1])):
                 raise ValueError(f"branch {bid!r} may contain content tokens only")
         tail = self.takeaway
-        if not tail or tail[0] != Tag.TAKEAWAY_OPEN.value \
-                or Tag.TAKEAWAY_CLOSE.value not in tail:
+        if not tail or tail[0] != _TAKEAWAY_OPEN or _TAKEAWAY_CLOSE not in tail:
             raise ValueError("tail must open and close a takeaway")
-        close_at = tail.index(Tag.TAKEAWAY_CLOSE.value)
-        inner = tail[1:close_at] + tail[close_at + 1:]
-        if any(tag_of(t) is not None for t in inner):
+        close_at = tail.index(_TAKEAWAY_CLOSE)
+        if any(map(is_tag, tail[1:close_at] + tail[close_at + 1:])):
             raise ValueError("tail may contain content tokens only")
 
     @property
@@ -161,7 +166,7 @@ def apply_repetition_penalty(scores, context, in_step: bool,
     """
     if not in_step:
         return dict(scores)
-    seen = context.step_tokens if isinstance(context, BranchState) else set(context)
+    seen = set(context.step_tokens if isinstance(context, BranchState) else context)
     out = {}
     for token, score in scores.items():
         if token in seen:
@@ -170,40 +175,39 @@ def apply_repetition_penalty(scores, context, in_step: bool,
     return out
 
 
-def _validate_header(prologue, n_branches: int, strict: bool):
+def _validate_header(prologue, n_branches: int, strict: bool) -> str | None:
     """Pre-branch structural gate on the guideline header.
 
-    Returns (ok, reason, index). Checks are cheap and conservative: the
-    header must be exactly one guideline region with balanced plans and at
-    least one plan; strict mode also requires one plan per branch.
+    Returns why the header is refused, or None. Checks are cheap and
+    conservative: the header must be exactly one guideline region with
+    balanced plans and at least one plan; strict mode also requires one plan
+    per branch.
     """
-    tags = [(i, tag_of(t)) for i, t in enumerate(prologue) if tag_of(t) is not None]
-    if not tags or tags[0][1] is not Tag.GUIDELINE_OPEN or tags[0][0] != 0:
-        return False, "header must start with a guideline open", 0
-    if tag_of(prologue[-1]) is not Tag.GUIDELINE_CLOSE:
-        return False, "header must end with the guideline close", len(prologue) - 1
+    tags = list(tag_events(prologue))
+    if not tags or tags[0] != (0, GUIDELINE_OPEN):
+        return "header must start with a guideline open"
+    if tags[-1] != (len(prologue) - 1, GUIDELINE_CLOSE):
+        return "header must end with the guideline close"
     plan_count = 0
     open_plan = False
     closed = False
     for i, tag in tags[1:]:
         if closed:
-            return False, "tokens after the guideline close", i
-        if tag is Tag.PLAN_OPEN and not open_plan:
+            return "tokens after the guideline close"
+        if tag is PLAN_OPEN and not open_plan:
             open_plan = True
-        elif tag is Tag.PLAN_CLOSE and open_plan:
+        elif tag is PLAN_CLOSE and open_plan:
             open_plan = False
             plan_count += 1
-        elif tag is Tag.GUIDELINE_CLOSE and not open_plan:
+        elif tag is GUIDELINE_CLOSE and not open_plan:
             closed = True
         else:
-            return False, f"illegal header tag {prologue[i]!r}", i
-    if not closed:
-        return False, "guideline never closes", len(prologue) - 1
+            return f"illegal header tag {prologue[i]!r}"
     if plan_count < 1:
-        return False, "header declares no plan", len(prologue) - 1
+        return "header declares no plan"
     if strict and plan_count != n_branches:
-        return False, f"{plan_count} plans for {n_branches} branches", len(prologue) - 1
-    return True, "", -1
+        return f"{plan_count} plans for {n_branches} branches"
+    return None
 
 
 @dataclass
@@ -225,13 +229,12 @@ class GenerationRun:
 
 class _Run:
     def __init__(self, policy: ScriptedPolicy, cache: RadixCache,
-                 ledger: TokenLedger, strict_validator: bool, schedule: str):
+                 ledger: TokenLedger, schedule: str):
         if schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {schedule!r}")
         self.policy = policy
         self.cache = cache
         self.ledger = ledger
-        self.strict = strict_validator
         self.schedule = schedule
         self.events: list[GenerationEvent] = []
         self.emission_log: list[str] = []
@@ -250,51 +253,50 @@ class _Run:
 
     # -- phases ----------------------------------------------------------
 
-    def sequential(self, out: list[str], stream, lease: CacheLease, branch=None) -> bool:
+    def emit(self, out: list[str], token: str, lease: CacheLease, branch=None) -> None:
+        """Append one charged token to ``out``, the cache, the log and the events."""
+        try:
+            self.cache.extend(lease, token)
+        finally:
+            self._note_flushes(branch)
+        out.append(token)
+        self.emission_log.append(token)
+        self._event("emit", branch=branch, token=token)
+
+    def sequential(self, out: list[str], stream, lease: CacheLease) -> bool:
         """Emit a stream one token per step. False when the ledger ran dry."""
         for token in stream:
             if self.ledger.charge(1) < 1:
                 return False
-            try:
-                self.cache.extend(lease, token)
-            finally:
-                self._note_flushes(branch)
-            out.append(token)
-            self.emission_log.append(token)
-            self._event("emit", branch=branch, token=token)
+            self.emit(out, token, lease)
             self.step += 1
         return True
 
-    def force_append(self, out: list[str], token: str | None, branch=None) -> None:
-        """Append an uncharged structural token (or a bare halt marker)."""
-        if token is not None:
+    def force_close(self, out: list[str], branch=None) -> None:
+        """Close every tag ``out`` leaves open with uncharged ``truncate`` tokens.
+
+        ``out`` must be a prefix of well-nested markup. The main stream
+        (``branch`` None) must also hold a takeaway, and each of its forced
+        tokens takes a step; a branch's round counts its step. When nothing
+        needs closing, a bare halt marker is logged instead.
+        """
+        closes: list[str] = []
+        for _, tag in tag_events(out):
+            if tag in _CLOSER:
+                closes.append(_CLOSER[tag])
+            else:
+                closes.pop()
+        closes.reverse()
+        if branch is None and _TAKEAWAY_OPEN not in out:
+            closes += (_TAKEAWAY_OPEN, _TAKEAWAY_CLOSE)
+        if not closes:
+            self._event("truncate", branch=branch)
+        for token in closes:
             out.append(token)
             self.emission_log.append(token)
-        self._event("truncate", branch=branch, token=token)
-        if token is not None:
-            self.step += 1
-
-    def force_close_header(self, out: list[str]) -> None:
-        open_plan = False
-        header_open = False
-        for t in out:
-            tag = tag_of(t)
-            if tag is Tag.GUIDELINE_OPEN:
-                header_open = True
-            elif tag is Tag.GUIDELINE_CLOSE:
-                header_open = False
-            elif tag is Tag.PLAN_OPEN:
-                open_plan = True
-            elif tag is Tag.PLAN_CLOSE:
-                open_plan = False
-        if open_plan:
-            self.force_append(out, Tag.PLAN_CLOSE.value)
-        if header_open:
-            self.force_append(out, Tag.GUIDELINE_CLOSE.value)
-
-    def minimal_tail(self, out: list[str]) -> None:
-        self.force_append(out, Tag.TAKEAWAY_OPEN.value)
-        self.force_append(out, Tag.TAKEAWAY_CLOSE.value)
+            self._event("truncate", branch=branch, token=token)
+            if branch is None:
+                self.step += 1
 
 
 def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedger,
@@ -303,31 +305,31 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
     """Simulate one fork/join rollout.
 
     Raises :class:`IllegalSchema` when the pre-branch validator refuses the
-    header (no fork happens, no step tokens are emitted),
-    :class:`LedgerExhausted` for a non-positive token budget, and propagates
-    :class:`BudgetExceeded` from the cache. The returned document always
-    parses cleanly, or the event log carries truncate events explaining why
-    generation stopped early.
+    scripted header, at any budget (no fork happens, no step tokens are
+    emitted), :class:`LedgerExhausted` for a non-positive token budget, and
+    propagates :class:`BudgetExceeded` from the cache. The returned document
+    always parses cleanly, or the event log carries truncate events
+    explaining why generation stopped early.
     """
     if ledger.remaining <= 0:
         raise LedgerExhausted("generation requires a positive token budget")
-    run = _Run(policy, cache, ledger, strict_validator, schedule)
+    run = _Run(policy, cache, ledger, schedule)
 
     prologue: list[str] = []
     main_lease = cache.match_and_insert([])
     try:
         funded = run.sequential(prologue, policy.prologue, main_lease)
-        if not funded:
-            run.force_close_header(prologue)
-            run.minimal_tail(prologue)
-            return _finish(run, prologue)
-
-        ok, reason, index = _validate_header(prologue, len(policy.branch_ids),
-                                             strict_validator)
-        if not ok:
+        # Gate the whole scripted header, so that a force-close below only
+        # ever completes a prefix of a legal one.
+        reason = _validate_header(policy.prologue, len(policy.branch_ids),
+                                  strict_validator)
+        if reason is not None:
             run._event("reject", token=reason)
             raise IllegalSchema(f"pre-branch validator: {reason}",
                                 tokens=prologue, events=run.events)
+        if not funded:
+            run.force_close(prologue)
+            return _finish(run, prologue)
 
         run._event("fork")
         branches = []
@@ -345,45 +347,38 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
                     cache.release(b.lease)
 
         tail: list[str] = []
-        funded = run.sequential(tail, policy.takeaway, main_lease)
-        doc_tokens = prologue + [t for b in branches for t in b.emitted] + tail
-        if not funded:
-            _force_close_tail(run, doc_tokens, tail)
-        return _finish(run, doc_tokens)
+        if not run.sequential(tail, policy.takeaway, main_lease):
+            run.force_close(tail)
+        return _finish(run, prologue + [t for b in branches for t in b.emitted] + tail)
     finally:
         if not main_lease.released:
             cache.release(main_lease)
 
 
 def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
+    """Decode the branches in rounds; each round charges one token per active
+    branch of its group. Branch-major order runs each branch as its own group."""
     order = list(branches)
     if run.schedule == "reverse_round_robin":
         order = order[::-1]
-
-    if run.schedule == "branch_major":
-        for b in order:
-            while b.status == "active":
-                before = len(run.emission_log)
-                _advance(run, b, funded=run.ledger.charge(1) == 1)
-                if len(run.emission_log) > before:
-                    run.step += 1
-        return
-
-    while True:
-        active = [b for b in order if b.status == "active"]
-        if not active:
-            return
-        accepted = run.ledger.charge(len(active))
-        before = len(run.emission_log)
-        for i, b in enumerate(active):
-            _advance(run, b, funded=i < accepted)
-        if len(run.emission_log) > before:
-            run.step += 1
+    groups = [[b] for b in order] if run.schedule == "branch_major" else [order]
+    for group in groups:
+        while True:
+            active = [b for b in group if b.status == "active"]
+            if not active:
+                break
+            accepted = run.ledger.charge(len(active))
+            before = len(run.emission_log)
+            for i, b in enumerate(active):
+                _advance(run, b, funded=i < accepted)
+            if len(run.emission_log) > before:
+                run.step += 1
 
 
 def _advance(run: _Run, branch: BranchState, funded: bool) -> None:
     if not funded:
-        _truncate_branch(run, branch)
+        run.force_close(branch.emitted, branch.branch_id)
+        branch.status = "truncated"
         return
     token = run.policy.next_token(branch.branch_id, len(branch.emitted),
                                   EmissionLogView(run.emission_log))
@@ -391,36 +386,9 @@ def _advance(run: _Run, branch: BranchState, funded: bool) -> None:
         # Streams always end at a step close, which closes the branch first.
         raise ValueError(f"policy returned no token for active branch "
                          f"{branch.branch_id!r}")
-    try:
-        run.cache.extend(branch.lease, token)
-    finally:
-        run._note_flushes(branch.branch_id)
-    branch.record(token)
-    run.emission_log.append(token)
-    run._event("emit", branch=branch.branch_id, token=token)
+    run.emit(branch.emitted, token, branch.lease, branch.branch_id)
     if token == _STEP_CLOSE:
         branch.status = "closed"
-
-
-def _truncate_branch(run: _Run, branch: BranchState) -> None:
-    if branch.emitted and branch.emitted[-1] != _STEP_CLOSE:
-        # An open step span must be force-closed to keep the output parseable.
-        branch.record(_STEP_CLOSE)
-        run.emission_log.append(_STEP_CLOSE)
-        run._event("truncate", branch=branch.branch_id, token=_STEP_CLOSE)
-    else:
-        # Nothing open: the branch is dropped (or was already balanced).
-        run._event("truncate", branch=branch.branch_id, token=None)
-    branch.status = "truncated"
-
-
-def _force_close_tail(run: _Run, doc_tokens: list[str], tail: list[str]) -> None:
-    if Tag.TAKEAWAY_OPEN.value not in tail:
-        run.minimal_tail(doc_tokens)
-    elif Tag.TAKEAWAY_CLOSE.value not in tail:
-        run.force_append(doc_tokens, Tag.TAKEAWAY_CLOSE.value)
-    else:
-        run.force_append(doc_tokens, None)  # epilogue cut short
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:

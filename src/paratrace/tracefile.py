@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .errors import InputError
 from .rollouts import RolloutBatch, RolloutRecord
 
@@ -28,21 +29,38 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
+def loads(text: str):
+    """``json.loads`` that also refuses lone surrogate escapes such as
+    ``"\\ud800"``: no UTF-8 output can hold them. Raises ``ValueError``."""
+    data = json.loads(text)
+    if "\\u" in text:
+        dumps(data).encode("utf-8")
+    return data
+
+
 def read_jsonl_numbered(path) -> list[tuple[int, dict]]:
-    """(source line number, row) pairs; blank lines are skipped but counted."""
+    """(source line number, row) pairs; blank lines are skipped but counted.
+
+    Each line's bytes are decoded on their own, so bad UTF-8 is reported at
+    its own line; ``bytes.splitlines`` breaks lines where text mode would.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError("file not found", str(path))
     rows = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"bad JSON: {exc.msg}", str(path), lineno) from exc
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"bad UTF-8: {exc.reason}", str(path), lineno) from exc
+        if not line:
+            continue
+        try:
+            rows.append((lineno, loads(line)))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"bad JSON: {exc.msg}", str(path), lineno) from exc
+        except UnicodeEncodeError as exc:
+            raise InputError(f"bad JSON: {exc.reason}", str(path), lineno) from exc
     return rows
 
 
@@ -103,15 +121,12 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-TOOL_VERSION = "0.1.0"
-
-
 def write_manifest(path, subcommand: str, inputs, config: dict, outputs) -> dict:
     """Reproducibility record: inputs, echoed config, output digests."""
     manifest = {
         "v": 1,
         "subcommand": subcommand,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "inputs": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
         "config": config,
         "outputs": [{"path": str(p), "sha256": sha256_file(p)} for p in outputs],

@@ -1,10 +1,15 @@
 """CLI subcommands, exit codes, and determinism."""
 
 import json
+import random
 
 import pytest
 
+import paratrace
+from paratrace import (corrupt, doc_is_parallel, parse_document, parallel_rate,
+                       random_valid_document, topology_stats)
 from paratrace.cli import main
+from paratrace.errors import ParseError
 from paratrace.tracefile import read_jsonl, write_jsonl
 from conftest import E1, E1_FULL
 
@@ -118,7 +123,8 @@ class TestMaskPosid:
         assert pos == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 12, 13, 14]
 
     @pytest.mark.parametrize("command", ["mask", "posid"])
-    @pytest.mark.parametrize("bad_id", ["../x", "../../x", "a/b", "..", ".", "", "a\\b"])
+    @pytest.mark.parametrize("bad_id", ["../x", "../../x", "a/b", "..", ".", "", "a\\b",
+                                        pytest.param("é" * 124, id="over-255-utf8-bytes")])
     def test_unsafe_ids_write_nothing(self, tmp_path, capsys, command, bad_id):
         trace = tmp_path / "t.jsonl"
         write_jsonl(trace, [{"id": "ok", "tokens": E1_FULL},
@@ -181,6 +187,21 @@ class TestSimulate:
         assert run_cli("--output-dir", out, "simulate", script) == 1
         events = read_jsonl(out / "sim_events.jsonl")
         assert any(e["kind"] == "reject" for e in events)
+
+    def test_illegal_header_refused_at_every_budget(self, tmp_path):
+        script = tmp_path / "illegal.json"
+        script.write_text(json.dumps({
+            "prologue": ["x", "<guideline>", "<plan>", "1:", "</plan>", "</guideline>"],
+            "branches": {"1": ["<step>", "a", "</step>"]},
+            "takeaway": ["<takeaway>", "t", "</takeaway>"],
+        }))
+        for budget in (1, 4096):
+            out = tmp_path / f"b{budget}"
+            assert run_cli("--output-dir", out, "simulate", script,
+                           "--max-new-tokens", budget) == 1
+            events = read_jsonl(out / "sim_events.jsonl")
+            assert events[-1]["kind"] == "reject"
+            assert not (out / "sim_document.json").exists()
 
     def test_config_file(self, tmp_path, script_file):
         cfg = tmp_path / "cfg.json"
@@ -367,6 +388,36 @@ class TestMetrics:
         assert report["parallel_rate"] == 100.0
         assert report["simulated_speedup_mean"] > 1.0
 
+    def test_parallel_flags_match_the_parser(self, tmp_path):
+        rng = random.Random(5)
+        docs = [E1_FULL, E1[:-2], [], ["just", "words"],
+                ["<guideline>", "<plan>", "1:", "</plan>", "</guideline>",
+                 "<step>", "1:", "a", "</step>", "<takeaway>", "t", "</takeaway>"]]
+        for _ in range(40):
+            doc = random_valid_document(rng, max_depth=2)
+            docs.append(corrupt(doc, rng.randint(1, 6), rng) if rng.random() < 0.5 else doc)
+        trace = tmp_path / "trace.jsonl"
+        write_jsonl(trace, [{"id": str(i), "tokens": d} for i, d in enumerate(docs)])
+        outcomes = tmp_path / "outcomes.jsonl"
+        write_jsonl(outcomes, [{"id": str(i), "correct": i % 3 == 0}
+                               for i in range(len(docs))])
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "metrics", trace, "--outcomes", outcomes) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        # The reference: the parse tree decides, and unparseable or empty
+        # documents are not parallel and carry no speedup.
+        flags, speedups = [], []
+        for doc in docs:
+            try:
+                flags.append(doc_is_parallel(parse_document(doc)))
+                speedups.append(topology_stats(doc).compression_ratio)
+            except (ParseError, ValueError):
+                flags.append(False)
+        assert 0 < sum(flags) < len(flags) and len(speedups) < len(docs)
+        assert report["parallel_rate"] == parallel_rate(flags)
+        assert report["simulated_speedup_mean"] == sum(speedups) / len(speedups)
+        assert report["best_at_k"] == report["avg_at_k"] == 15 / 45
+
     def test_unknown_outcome_id(self, tmp_path, trace_file):
         outcomes = tmp_path / "outcomes.jsonl"
         write_jsonl(outcomes, [{"id": "ghost", "correct": True}])
@@ -448,5 +499,34 @@ class TestManifest:
         manifest = tmp_path / "manifest.json"
         assert run_cli("--output-dir", tmp_path / "o", "--manifest", manifest,
                        "advantage", batch, "--algo", "papo") == 0
-        config = json.loads(manifest.read_text())["config"]
-        assert config == {"algo": "papo", "batch": str(batch), "seed": None}
+        data = json.loads(manifest.read_text())
+        assert data["config"] == {"algo": "papo", "batch": str(batch), "seed": None}
+        assert data["tool_version"] == paratrace.__version__
+
+
+def test_lone_surrogate_in_a_script_is_an_input_error(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({  # ensure_ascii spells the surrogate as an escape
+        "prologue": E1[:8], "branches": {"1": E1[8:12], "2": E1[12:15]},
+        "takeaway": E1[15:] + ["\udc80"]}))
+    assert run_cli("--output-dir", tmp_path / "out", "simulate", script) == 2
+    assert str(script) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "filter", "mask", "metrics"])
+@pytest.mark.parametrize("bad", [b"\xe2\x82", b"\\ud800"])
+def test_bad_utf8_or_lone_surrogate_is_an_input_error_at_its_line(tmp_path, capsys,
+                                                                   command, bad):
+    rows = [b'{"id": "a", "tokens": ["x"], "gold": "1", "correct": true}',
+            b"", b'{"id": "b' + bad + b'", "tokens": ["x"], "gold": "1", "correct": true}']
+    bad_file = tmp_path / "bad.jsonl"
+    bad_file.write_bytes(b"\n".join(rows) + b"\n")
+    trace = tmp_path / "trace.jsonl"
+    write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}])
+    argv = ["metrics", trace, "--outcomes", bad_file] if command == "metrics" \
+        else [command, bad_file]
+    assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
+    assert f"{bad_file}:3]" in capsys.readouterr().err
+    # A surrogate pair spells one character, and reads as one.
+    trace.write_text('{"id": "\\ud83d\\ude00", "tokens": ["x"], "gold": "1"}\n')
+    assert run_cli("--output-dir", tmp_path / "out", "validate", trace) == 1

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paratrace import (BranchState, BudgetExceeded, EmissionLogView, IllegalSchema,
                        LedgerExhausted, RadixCache, ScriptedPolicy, TokenLedger,
@@ -148,6 +150,60 @@ class TestValidatorGate:
                            ["<takeaway>", "</takeaway>"])
 
 
+# Refused by the header gate (content before the guideline open), and with a
+# budget of one token only the "x" is emitted before the ledger runs dry.
+ILLEGAL_HEADER = ["x", "<guideline>", "<plan>", "1:", "</plan>", "</guideline>"]
+
+
+class TestHeaderGateAtEveryBudget:
+    def test_illegal_header_refused_when_the_ledger_runs_dry_inside_it(self):
+        policy = ScriptedPolicy(ILLEGAL_HEADER, {"1": ["<step>", "a", "</step>"]},
+                                ["<takeaway>", "t", "</takeaway>"])
+        for budget in (1, 2, 5, 6, 4096):
+            with pytest.raises(IllegalSchema) as exc:
+                run_generation(policy, *fresh(max_new_tokens=budget))
+            assert [e.kind for e in exc.value.events][-1] == "reject"
+            assert exc.value.tokens == ILLEGAL_HEADER[:budget]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_budget_parses_or_refuses(self, data):
+        legal = st.builds(
+            lambda plans: ["<guideline>"] + [t for p in plans for t in ["<plan>", *p, "</plan>"]]
+            + ["</guideline>"],
+            st.lists(st.lists(st.sampled_from(["1:", "p"]), max_size=2), max_size=3))
+        soup = st.lists(st.sampled_from(["<guideline>", "</guideline>", "<plan>", "</plan>",
+                                         "<step>", "</takeaway>", "p"]), min_size=1, max_size=8)
+        prologue = data.draw(st.one_of(legal, soup))
+        bodies = data.draw(st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=4),
+                                    min_size=1, max_size=3))
+        tail = ["<takeaway>", *data.draw(st.lists(st.just("t"), max_size=2)), "</takeaway>",
+                *data.draw(st.lists(st.just("e"), max_size=2))]
+        policy = ScriptedPolicy(prologue, {str(i + 1): ["<step>", *b, "</step>"]
+                                           for i, b in enumerate(bodies)}, tail)
+        strict = data.draw(st.booleans())
+        schedule = data.draw(st.sampled_from(SCHEDULES))
+        try:
+            run_generation(policy, *fresh(), strict_validator=strict)
+            refused = False
+        except IllegalSchema:
+            refused = True
+        budget = data.draw(st.integers(1, 40))
+        slots = data.draw(st.sampled_from([6, 4096]))
+        try:
+            run = run_generation(policy, *fresh(slots, budget), strict_validator=strict,
+                                 schedule=schedule)
+        except IllegalSchema:
+            assert refused
+            return
+        except BudgetExceeded:
+            return
+        assert not refused
+        parse_document(run.doc.texts())
+        if schedule != "branch_major":  # which decodes siblings one after another
+            assert run.decode_steps == run.stats.critical_path
+
+
 class TestTruncation:
     def test_tight_ledger_force_closes_branches(self):
         policy = ScriptedPolicy(
@@ -224,6 +280,16 @@ class TestRepetitionPenalty:
         assert "alpha" not in branch.step_tokens
         out = apply_repetition_penalty({"alpha": 2.0}, branch, in_step=True)
         assert out["alpha"] == 2.0
+
+    def test_branch_state_window_is_derived_from_emitted(self):
+        branch = BranchState("1", parent_prefix_len=0)
+        for tok in ("a", "b"):
+            branch.record(tok)
+        assert branch.step_tokens == ["a", "b"]  # no step open yet: everything
+        for tok in ("<step>", "a", "<step>", "c", "c"):
+            branch.record(tok)
+        assert branch.step_tokens == ["<step>", "c", "c"]
+        assert branch.emitted == ["a", "b", "<step>", "a", "<step>", "c", "c"]
 
 
 class _PeekingPolicy(ScriptedPolicy):
