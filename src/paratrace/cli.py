@@ -11,7 +11,7 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,9 +28,9 @@ from .metrics import avg_at_k, best_at_k, parallel_rate
 from .rewards import format_reward, stage1_reward, stage3_reward
 # Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
 from .rewards import accept_filter  # noqa: F401
-from .tracefile import (TraceDoc, dumps, loads, read_jsonl_numbered,
-                        read_outcomes, read_rollout_batch, read_trace,
-                        write_jsonl, write_manifest)
+from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, dumps,
+                        read_json_object, read_jsonl_numbered, read_rollout_batch,
+                        read_trace, write_jsonl, write_manifest)
 from .topology import build_attention_mask, build_position_ids, topology_stats
 from .validation import validate_structure
 
@@ -51,7 +51,7 @@ def _check_file_ids(docs, path, suffix: str) -> None:
     file name, ``id + suffix``, must fit the usual 255-byte name limit."""
     seen = set()
     for lineno, doc in docs:
-        doc_id = doc.doc_id
+        doc_id = doc["id"]
         if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0") \
                 or len((doc_id + suffix).encode("utf-8")) > 255:
             raise InputError(f"document id {doc_id!r} is not a safe file name",
@@ -73,112 +73,73 @@ def _doc_pred(tokens) -> str | None:
 def cmd_validate(args):
     docs = read_trace(args.trace)
     rows = []
-    all_ok = True
     for lineno, doc in docs:
-        report = validate_structure(doc.tokens, strict=args.strict)
-        all_ok &= report.ok
-        rows.append({"id": doc.doc_id, "line": lineno, **report.to_json_dict()})
+        report = validate_structure(doc["tokens"], strict=args.strict)
+        rows.append({"id": doc["id"], "line": lineno, **report.to_json_dict()})
     report_path = _out(args, "validation_report.jsonl")
     write_jsonl(report_path, rows)
     n_bad = sum(1 for r in rows if not r["ok"])
     print(f"validated {len(rows)} documents: {len(rows) - n_bad} ok, {n_bad} invalid")
-    return (EXIT_OK if all_ok else EXIT_INVALID), [report_path]
+    return (EXIT_INVALID if n_bad else EXIT_OK), [report_path]
 
 
-def cmd_mask(args):
+def _json_line(obj) -> bytes:
+    return (dumps(obj) + "\n").encode("utf-8")
+
+
+def _write_per_document(args, build, encode, subdir: str, suffix: str):
+    """One file per document under ``subdir``, holding ``encode(build(tokens))``,
+    plus a ``<command>_status.jsonl`` row per document."""
     docs = read_trace(args.trace)
-    suffix = ".mask.json" if args.format == "coords" else ".mask.bin"
     _check_file_ids(docs, args.trace, suffix)
     status = []
     outputs = []
-    all_ok = True
     for lineno, doc in docs:
-        row = {"id": doc.doc_id, "line": lineno, "ok": True,
-               "length": len(doc.tokens), "error": None}
+        row = {"id": doc["id"], "line": lineno, "ok": True,
+               "length": len(doc["tokens"]), "error": None}
         try:
-            mask = build_attention_mask(doc.tokens)
-            path = _out(args, "masks", doc.doc_id + suffix)
-            if args.format == "coords":
-                path.write_text(dumps(mask.to_coords_dict()) + "\n", encoding="utf-8")
-            else:
-                path.write_bytes(mask.to_dense_bytes())
+            data = encode(build(doc["tokens"]))
+            path = _out(args, subdir, doc["id"] + suffix)
+            path.write_bytes(data)
             outputs.append(path)
         except StructureError as exc:
             row.update(ok=False, error=str(exc))
-            all_ok = False
         status.append(row)
-    status_path = _out(args, "mask_status.jsonl")
+    status_path = _out(args, f"{args.command}_status.jsonl")
     write_jsonl(status_path, status)
     outputs.append(status_path)
     n_bad = sum(1 for r in status if not r["ok"])
-    print(f"masks for {len(status)} documents: {len(status) - n_bad} built, {n_bad} failed")
-    return (EXIT_OK if all_ok else EXIT_INVALID), outputs
+    print(f"{subdir} for {len(status)} documents: {len(status) - n_bad} built, {n_bad} failed")
+    return (EXIT_INVALID if n_bad else EXIT_OK), outputs
+
+
+def cmd_mask(args):
+    if args.format == "coords":
+        return _write_per_document(args, build_attention_mask,
+                                   lambda mask: _json_line(mask.to_coords_dict()),
+                                   "masks", ".mask.json")
+    return _write_per_document(args, build_attention_mask,
+                               lambda mask: mask.to_dense_bytes(), "masks", ".mask.bin")
 
 
 def cmd_posid(args):
-    docs = read_trace(args.trace)
-    _check_file_ids(docs, args.trace, ".pos.json")
-    status = []
-    outputs = []
-    all_ok = True
-    for lineno, doc in docs:
-        row = {"id": doc.doc_id, "line": lineno, "ok": True,
-               "length": len(doc.tokens), "error": None}
-        try:
-            pos = build_position_ids(doc.tokens)
-            path = _out(args, "positions", doc.doc_id + ".pos.json")
-            path.write_text(dumps(pos) + "\n", encoding="utf-8")
-            outputs.append(path)
-        except StructureError as exc:
-            row.update(ok=False, error=str(exc))
-            all_ok = False
-        status.append(row)
-    status_path = _out(args, "posid_status.jsonl")
-    write_jsonl(status_path, status)
-    outputs.append(status_path)
-    n_bad = sum(1 for r in status if not r["ok"])
-    print(f"positions for {len(status)} documents: {len(status) - n_bad} built, {n_bad} failed")
-    return (EXIT_OK if all_ok else EXIT_INVALID), outputs
-
-
-def _read_json_object(path, what: str) -> dict:
-    """A JSON object read from ``path``; anything else is an :class:`InputError`."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError("file not found", str(path))
-    try:
-        data = loads(path.read_text(encoding="utf-8"))
-    except (UnicodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad {what}: {exc}", str(path)) from exc
-    if not isinstance(data, dict):
-        raise InputError(f"bad {what}: expected a JSON object", str(path))
-    return data
+    return _write_per_document(args, build_position_ids, _json_line,
+                               "positions", ".pos.json")
 
 
 def _load_script(path) -> ScriptedPolicy:
-    data = _read_json_object(path, "script")
     try:
-        return ScriptedPolicy.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        return ScriptedPolicy.from_json_dict(read_json_object(path, SCRIPT))
+    except ValueError as exc:
         raise InputError(f"bad script: {exc}", str(path)) from exc
 
 
-# Run-config fields and the argparse destinations they override.
-_CONFIG_FIELDS = {"budget_slots": ("budget_slots", int),
-                  "max_new_tokens": ("max_new_tokens", int),
-                  "strict_validator": ("strict", bool)}
-
-
 def _apply_config(args) -> None:
-    cfg = _read_json_object(args.config, "config")
-    for key, (dest, kind) in _CONFIG_FIELDS.items():
-        if key not in cfg:
-            continue
-        # Exact type: JSON true/false must not pass as a slot count.
-        if type(cfg[key]) is not kind:
-            raise InputError(f"bad config: {key} must be {kind.__name__}, "
-                             f"got {cfg[key]!r}", str(args.config))
-        setattr(args, dest, cfg[key])
+    """Run-config fields override their flags."""
+    cfg = read_json_object(args.config, CONFIG)
+    args.budget_slots = cfg.get("budget_slots", args.budget_slots)
+    args.max_new_tokens = cfg.get("max_new_tokens", args.max_new_tokens)
+    args.strict = cfg.get("strict_validator", args.strict)
 
 
 def cmd_simulate(args):
@@ -264,28 +225,23 @@ def cmd_reward(args):
 
 def cmd_filter(args):
     docs = read_trace(args.trace)
-    gold_by_id = {}
-    if args.answers:
-        for lineno, row in read_jsonl_numbered(args.answers):
-            try:
-                gold_by_id[str(row["id"])] = str(row["gold"])
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"bad answer record: {exc!r}", str(args.answers),
-                                 lineno) from exc
+    gold_by_id = {row["id"]: row["gold"] for _, row in
+                  read_jsonl_numbered(args.answers, ANSWER)} if args.answers else {}
     rows = []
     accepted_docs = []
-    for _, doc in docs:
-        gold = gold_by_id.get(doc.doc_id, doc.gold)
+    for lineno, doc in docs:
+        doc_id, tokens = doc["id"], doc["tokens"]
+        gold = gold_by_id.get(doc_id, doc.get("gold"))
         if gold is None:
-            raise InputError(f"no gold answer for document {doc.doc_id}", args.trace)
-        pred = _doc_pred(doc.tokens)
-        report = validate_structure(doc.tokens, strict=args.strict)
+            raise InputError(f"no gold answer for document {doc_id}", args.trace, lineno)
+        pred = _doc_pred(tokens)
+        report = validate_structure(tokens, strict=args.strict)
         correct = pred is not None and pred == gold
         accepted = correct and report.ok
-        rows.append({"id": doc.doc_id, "accepted": accepted, "correct": correct,
+        rows.append({"id": doc_id, "accepted": accepted, "correct": correct,
                      "format_ok": report.ok})
         if accepted:
-            accepted_docs.append(TraceDoc(doc.doc_id, doc.tokens, gold).to_json_dict())
+            accepted_docs.append({"id": doc_id, "tokens": tokens, "gold": gold})
     report_path = _out(args, "filter_report.jsonl")
     write_jsonl(report_path, rows)
     accepted_path = _out(args, "accepted.jsonl")
@@ -297,14 +253,13 @@ def cmd_filter(args):
 
 def cmd_metrics(args):
     docs = [doc for _, doc in read_trace(args.trace)]
-    ids = {d.doc_id for d in docs}
-    outcomes = read_outcomes(args.outcomes)
-    for doc_id, _ in outcomes:
-        if doc_id not in ids:
-            raise InputError(f"outcome for unknown document {doc_id}", args.outcomes)
+    ids = {doc["id"] for doc in docs}
     by_id: dict[str, list[bool]] = {}
-    for doc_id, correct in outcomes:
-        by_id.setdefault(doc_id, []).append(correct)
+    for lineno, row in read_jsonl_numbered(args.outcomes, OUTCOME):
+        if row["id"] not in ids:
+            raise InputError(f"outcome for unknown document {row['id']}",
+                             args.outcomes, lineno)
+        by_id.setdefault(row["id"], []).append(row["correct"])
     if not by_id:
         raise InputError("no outcomes", args.outcomes)
 
@@ -318,7 +273,7 @@ def cmd_metrics(args):
     speedups = []
     for doc in docs:
         try:
-            stats = topology_stats(doc.tokens) if doc.tokens else None
+            stats = topology_stats(doc["tokens"]) if doc["tokens"] else None
         except StructureError:
             stats = None
         parallel_flags.append(stats is not None
@@ -345,14 +300,14 @@ def cmd_gen_corpus(args):
     try:
         if args.spec_file:
             spec = corpus_mod.CorpusSpec.from_json_dict(
-                _read_json_object(args.spec_file, "spec"))
+                read_json_object(args.spec_file, SPEC))
             if args.seed is not None:
-                spec = corpus_mod.CorpusSpec(**{**spec.__dict__, "seed": args.seed})
+                spec = dataclasses.replace(spec, seed=args.seed)
         else:
             spec = corpus_mod.CorpusSpec(documents=args.docs,
                                          corruption_rate=args.corruption,
                                          seed=args.seed if args.seed is not None else 0)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad corpus spec: {exc}", args.spec_file) from exc
     docs, keys = corpus_mod.generate_corpus(spec)
     corpus_path = _out(args, "corpus.jsonl")

@@ -11,11 +11,15 @@ corrupted document and records which one in a sidecar key.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .document import parse_document
 from .tags import Tag
+
+
+MAX_DOC_TOKENS = 256
 
 
 def _words(rng: random.Random, n: int) -> list[str]:
@@ -76,7 +80,7 @@ def random_valid_document(rng: random.Random, max_depth: int = 2,
             out += _words(rng, rng.randint(1, 2))
     out += _words(rng, rng.randint(0, 2))
     out.append("\\boxed{%s}" % (answer if answer is not None else f"a{rng.randrange(1000)}"))
-    if len(out) > 256:
+    if len(out) > MAX_DOC_TOKENS:
         raise AssertionError("generator parameters exceeded the 256-token cap")
     return out
 
@@ -142,6 +146,27 @@ class CorpusSpec:
             raise ValueError("documents must be non-negative")
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise ValueError("corruption_rate must be in [0, 1]")
+        tables = {"block_count_weights": 1, "steps_per_block_weights": 1,
+                  "step_length_weights": 0}
+        for name, least in tables.items():
+            table = getattr(self, name)
+            if not (all(w >= 0 for w in table.values())
+                    and 0 < sum(table.values()) < math.inf):
+                raise ValueError(f"{name} must be finite, non-negative and "
+                                 "not all zero")
+            if min(table) < least:
+                raise ValueError(f"{name} keys must be at least {least}")
+        # The longest document generate_corpus can draw. Per block: a
+        # guideline of two tags and one plan of up to 6 tokens per step, each
+        # step's 3 + length tokens, a takeaway of up to 5 and 2 trailing
+        # words; around the blocks, 3 leading and 2 closing words and the answer.
+        blocks, steps, length = (max(self.block_count_weights),
+                                 max(self.steps_per_block_weights),
+                                 max(self.step_length_weights))
+        longest = 6 + blocks * (9 + steps * (9 + length))
+        if longest > MAX_DOC_TOKENS:
+            raise ValueError(f"weight tables allow documents of {longest} tokens, "
+                             f"over the {MAX_DOC_TOKENS}-token cap")
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,18 +180,12 @@ class CorpusSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorpusSpec":
-        def intkeys(d):
-            return {int(k): float(v) for k, v in d.items()}
-        kwargs = {}
-        if "documents" in data:
-            kwargs["documents"] = int(data["documents"])
-        for name in ("block_count_weights", "steps_per_block_weights", "step_length_weights"):
-            if name in data:
-                kwargs[name] = intkeys(data[name])
-        if "corruption_rate" in data:
-            kwargs["corruption_rate"] = float(data["corruption_rate"])
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
+        """The spec ``to_json_dict`` wrote: weight-table keys are parsed back
+        into ints, and every other field is taken as it is."""
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        for name, table in kwargs.items():
+            if name.endswith("_weights"):
+                kwargs[name] = {int(k): w for k, w in table.items()}
         return cls(**kwargs)
 
 

@@ -33,11 +33,9 @@ class RolloutRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RolloutRecord":
-        return cls(record_id=str(data["id"]), group_id=str(data["group"]),
-                   tokens=tuple(data["tokens"]),
-                   logprobs=tuple(float(x) for x in data["logprobs"]),
-                   pred=data.get("pred"), gold=str(data["gold"]),
-                   reward=data.get("reward"))
+        return cls(record_id=data["id"], group_id=data["group"],
+                   tokens=tuple(data["tokens"]), logprobs=tuple(data["logprobs"]),
+                   pred=data.get("pred"), gold=data["gold"], reward=data.get("reward"))
 
 
 @dataclass(frozen=True)

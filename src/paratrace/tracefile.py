@@ -1,28 +1,16 @@
-"""Line-oriented JSON file formats and the run manifest."""
+"""Line-oriented JSON file formats, their field types, and the run manifest."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import reprlib
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import InputError
 from .rollouts import RolloutBatch, RolloutRecord
-
-
-@dataclass(frozen=True)
-class TraceDoc:
-    doc_id: str
-    tokens: tuple[str, ...]
-    gold: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"id": self.doc_id, "tokens": list(self.tokens)}
-        if self.gold is not None:
-            out["gold"] = self.gold
-        return out
 
 
 def dumps(obj) -> str:
@@ -38,8 +26,90 @@ def loads(text: str):
     return data
 
 
-def read_jsonl_numbered(path) -> list[tuple[int, dict]]:
-    """(source line number, row) pairs; blank lines are skipped but counted.
+# -- input schemas ------------------------------------------------------------
+# Each field of each CLI input kind has one exact JSON type. Types are compared
+# with ``type(v) is``, so a bool is not a number and a string is not a token
+# list, and nothing is converted: a wrongly typed field is an InputError.
+
+def _one_of(*types):
+    return lambda v: type(v) in types
+
+
+def _list_of(*types):
+    types = set(types)
+    return lambda v: type(v) is list and set(map(type, v)) <= types
+
+
+STRING = ("a string", _one_of(str))
+STRING_OR_NULL = ("a string or null", _one_of(str, type(None)))
+INTEGER = ("an integer", _one_of(int))
+NUMBER = ("a number", _one_of(int, float))
+NUMBER_OR_NULL = ("a number or null", _one_of(int, float, type(None)))
+BOOLEAN = ("true or false", _one_of(bool))
+STRINGS = ("a list of strings", _list_of(str))
+NUMBERS = ("a list of numbers", _list_of(int, float))
+STREAMS = ("an object of string lists",
+           lambda v: type(v) is dict and all(map(STRINGS[1], v.values())))
+WEIGHTS = ("an object of numbers",
+           lambda v: type(v) is dict and set(map(type, v.values())) <= {int, float})
+
+
+class Schema(NamedTuple):
+    """One input kind: its name in messages, each field's type, and the
+    fields it must have. Fields not named here are ignored."""
+    name: str
+    fields: dict
+    required: tuple = ()
+
+
+TRACE = Schema("trace record", {"id": STRING, "tokens": STRINGS, "gold": STRING_OR_NULL},
+               ("id", "tokens"))
+ANSWER = Schema("answer record", {"id": STRING, "gold": STRING}, ("id", "gold"))
+OUTCOME = Schema("outcome record", {"id": STRING, "correct": BOOLEAN}, ("id", "correct"))
+ROLLOUT = Schema("rollout record",
+                 {"id": STRING, "group": STRING, "tokens": STRINGS, "logprobs": NUMBERS,
+                  "pred": STRING_OR_NULL, "gold": STRING, "reward": NUMBER_OR_NULL},
+                 ("id", "group", "tokens", "logprobs", "gold"))
+SCRIPT = Schema("script", {"prologue": STRINGS, "branches": STREAMS, "takeaway": STRINGS},
+                ("prologue", "branches", "takeaway"))
+CONFIG = Schema("config", {"budget_slots": INTEGER, "max_new_tokens": INTEGER,
+                           "strict_validator": BOOLEAN, "seed": INTEGER})
+SPEC = Schema("corpus spec", {"documents": INTEGER, "block_count_weights": WEIGHTS,
+                              "steps_per_block_weights": WEIGHTS,
+                              "step_length_weights": WEIGHTS,
+                              "corruption_rate": NUMBER, "seed": INTEGER})
+
+
+def check_fields(row, schema: Schema, path, line: int | None = None) -> dict:
+    """``row`` itself once it is an object whose fields have their schema's
+    types; otherwise an :class:`InputError` naming ``path`` (and ``line``)."""
+    if type(row) is not dict:
+        raise InputError(f"bad {schema.name}: expected a JSON object", str(path), line)
+    for field in schema.required:
+        if field not in row:
+            raise InputError(f"bad {schema.name}: missing {field}", str(path), line)
+    for field, (kind, test) in schema.fields.items():
+        if field in row and not test(row[field]):
+            raise InputError(f"bad {schema.name}: {field} must be {kind}, "
+                             f"got {reprlib.repr(row[field])}", str(path), line)
+    return row
+
+
+def read_json_object(path, schema: Schema) -> dict:
+    """The JSON object in ``path``, checked against ``schema``."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError("file not found", str(path))
+    try:
+        data = loads(path.read_text(encoding="utf-8"))
+    except (UnicodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"bad {schema.name}: {exc}", str(path)) from exc
+    return check_fields(data, schema, path)
+
+
+def read_jsonl_numbered(path, schema: Schema | None = None) -> list[tuple[int, dict]]:
+    """(source line number, row) pairs; blank lines are skipped but counted,
+    and with a ``schema`` each row is checked against it.
 
     Each line's bytes are decoded on their own, so bad UTF-8 is reported at
     its own line; ``bytes.splitlines`` breaks lines where text mode would.
@@ -56,11 +126,13 @@ def read_jsonl_numbered(path) -> list[tuple[int, dict]]:
         if not line:
             continue
         try:
-            rows.append((lineno, loads(line)))
+            row = loads(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad JSON: {exc.msg}", str(path), lineno) from exc
         except UnicodeEncodeError as exc:
             raise InputError(f"bad JSON: {exc.reason}", str(path), lineno) from exc
+        rows.append((lineno, row if schema is None
+                     else check_fields(row, schema, path, lineno)))
     return rows
 
 
@@ -76,24 +148,16 @@ def write_jsonl(path, rows) -> None:
             fh.write(dumps(row) + "\n")
 
 
-def read_trace(path) -> list[tuple[int, TraceDoc]]:
-    docs = []
-    for lineno, row in read_jsonl_numbered(path):
-        try:
-            docs.append((lineno, TraceDoc(doc_id=str(row["id"]),
-                                          tokens=tuple(str(t) for t in row["tokens"]),
-                                          gold=row.get("gold"))))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad trace record: {exc!r}", str(path), lineno) from exc
-    return docs
+def read_trace(path) -> list[tuple[int, dict]]:
+    return read_jsonl_numbered(path, TRACE)
 
 
 def read_rollout_batch(path) -> RolloutBatch:
     records = []
-    for lineno, row in read_jsonl_numbered(path):
+    for lineno, row in read_jsonl_numbered(path, ROLLOUT):
         try:
             records.append(RolloutRecord.from_json_dict(row))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad rollout record: {exc}", str(path), lineno) from exc
     if not records:
         raise InputError("empty rollout batch", str(path))
@@ -101,16 +165,6 @@ def read_rollout_batch(path) -> RolloutBatch:
         return RolloutBatch.from_records(records)
     except ValueError as exc:
         raise InputError(str(exc), str(path)) from exc
-
-
-def read_outcomes(path) -> list[tuple[str, bool]]:
-    out = []
-    for lineno, row in read_jsonl_numbered(path):
-        try:
-            out.append((str(row["id"]), bool(row["correct"])))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad outcome record: {exc!r}", str(path), lineno) from exc
-    return out
 
 
 def sha256_file(path) -> str:

@@ -350,7 +350,8 @@ class TestRewardAndFilter:
         assert rows[0]["accepted"] is True
 
     @pytest.mark.parametrize("row", ['{"id": "a"}', '{"gold": "42"}', '["a", "42"]',
-                                     '"a"', "null"])
+                                     '"a"', "null", '{"id": "a", "gold": 42}',
+                                     '{"id": 7, "gold": "42"}'])
     def test_filter_bad_answer_rows(self, tmp_path, capsys, row):
         trace = tmp_path / "t.jsonl"
         write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}])
@@ -530,3 +531,74 @@ def test_bad_utf8_or_lone_surrogate_is_an_input_error_at_its_line(tmp_path, caps
     # A surrogate pair spells one character, and reads as one.
     trace.write_text('{"id": "\\ud83d\\ude00", "tokens": ["x"], "gold": "1"}\n')
     assert run_cli("--output-dir", tmp_path / "out", "validate", trace) == 1
+
+
+# A well-formed input of each kind: JSON-lines records, then JSON objects.
+GOOD_RECORDS = {
+    "trace": {"id": "a", "tokens": E1_FULL, "gold": "42"},
+    "outcomes": {"id": "a", "correct": True},
+    "batch": {"id": "a", "group": "g", "tokens": ["x", "y"], "logprobs": [-0.1, -0.2],
+              "pred": "42", "gold": "42"},
+}
+GOOD_OBJECTS = {
+    "script": {"prologue": E1[:8], "branches": {"1": E1[8:12], "2": E1[12:15]},
+               "takeaway": E1[15:] + ["\\boxed{42}"]},
+    "config": {"max_new_tokens": 64},
+    "spec": {"documents": 3, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("outcomes", "correct", "false"),
+    ("trace", "tokens", "abc"),
+    ("trace", "tokens", [None, 7]),
+    ("trace", "id", 7),
+    ("batch", "tokens", "ab"),
+    ("batch", "logprobs", ["-0.5", True]),
+    ("script", "branches", ["a"]),
+    ("script", "branches", {"1": ["<step>", "1:", None, "</step>"], "2": E1[12:15]}),
+    ("script", "branches", {"1": ["<step>", "1:", 5, "</step>"], "2": E1[12:15]}),
+    ("script", "prologue", "<guideline>"),
+    ("config", "seed", "3"),
+    ("spec", "documents", True),
+    ("spec", "seed", "3"),
+])
+def test_wrongly_typed_field_is_an_input_error(tmp_path, capsys, script_file,
+                                               kind, field, value):
+    """Nothing is converted: the field is refused, at its line in a
+    JSON-lines file and by file name in a JSON object."""
+    trace = tmp_path / "trace.jsonl"
+    write_jsonl(trace, [GOOD_RECORDS["trace"]])
+    path = tmp_path / f"{kind}.json"
+    if kind in GOOD_RECORDS:
+        good = GOOD_RECORDS[kind]
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps({**good, field: value}) + "\n")
+        where = f"[{path}:3]"
+    else:
+        path.write_text(json.dumps({**GOOD_OBJECTS[kind], field: value}))
+        where = f"[{path}]"
+    argv = {"trace": ["validate", path],
+            "outcomes": ["metrics", trace, "--outcomes", path],
+            "batch": ["reward", path],
+            "script": ["simulate", path],
+            "config": ["simulate", script_file, "--config", path],
+            "spec": ["gen-corpus", "--spec-file", path]}[kind]
+    assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(where) and field in err, err
+
+
+@pytest.mark.parametrize("tables", [
+    '"block_count_weights": {"1": NaN, "2": 1}',
+    '"block_count_weights": {"1": -1, "2": 1}',
+    '"block_count_weights": {}',
+    '"block_count_weights": {"9": 1}',
+    '"block_count_weights": {"0": 1}, "corruption_rate": 0.9',
+    '"steps_per_block_weights": {"0": 1}',
+])
+def test_out_of_range_spec_is_an_input_error(tmp_path, capsys, tables):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"documents": 3, ' + tables + "}")
+    assert run_cli("--output-dir", tmp_path / "out", "gen-corpus", "--spec-file", spec) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"[{spec}]")
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
-"""CLI input boundary under fuzzed JSONL: malformed input exits 2 with its
-``path:line``, never 3, and nothing is written outside ``--output-dir``."""
+"""CLI input boundary under fuzzed JSONL and JSON objects: malformed input
+exits 2 with its ``path:line`` (``path`` for a JSON object), never 3, and
+nothing is written outside ``--output-dir``."""
 
 import contextlib
 import io
@@ -37,6 +38,14 @@ def rows(draw, kind):
         "batch": {"id": draw(ids), "group": draw(st.sampled_from(["g1", "g2"])),
                   "tokens": tokens, "logprobs": [-0.5] * len(tokens),
                   "pred": draw(st.sampled_from(["42", None])), "gold": "42"},
+        "script": {"prologue": E1[:8], "branches": {"1": E1[8:12], "2": E1[12:15]},
+                   "takeaway": E1[15:] + ["\\boxed{42}"]},
+        "config": {"budget_slots": draw(st.sampled_from([7, 64, 4096])),
+                   "max_new_tokens": draw(st.integers(1, 64)),
+                   "strict_validator": draw(st.booleans()), "seed": 0},
+        "spec": {"documents": draw(st.integers(0, 20)),
+                 "corruption_rate": draw(st.sampled_from([0, 0.5, 1.0])),
+                 "block_count_weights": {"1": 2, "2": 1}, "seed": draw(st.integers(0, 9))},
     }[kind]
     fault = draw(st.sampled_from(["none"] * 4 + ["drop", "retype", "other"]))
     key = draw(st.sampled_from(sorted(good)))
@@ -63,6 +72,16 @@ def jsonl(draw, kind):
     return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
 
 
+# Inputs that are one JSON object rather than JSON lines.
+OBJECTS = ("script", "config", "spec")
+
+
+def contents(kind):
+    if kind in OBJECTS:
+        return rows(kind).map(lambda r: json.dumps(r).encode("utf-8"))
+    return jsonl(kind)
+
+
 COMMANDS = {
     "validate": (["trace"], lambda f: ["validate", f["trace"]]),
     "mask": (["trace"], lambda f: ["mask", f["trace"]]),
@@ -72,19 +91,22 @@ COMMANDS = {
     "metrics": (["trace", "outcomes"], lambda f: ["metrics", f["trace"], "--outcomes", f["outcomes"]]),
     "reward": (["batch"], lambda f: ["reward", f["batch"]]),
     "advantage": (["batch"], lambda f: ["advantage", f["batch"], "--algo", "dapo"]),
+    "simulate": (["script", "config"],
+                 lambda f: ["simulate", f["script"], "--config", f["config"]]),
+    "gen-corpus": (["spec"], lambda f: ["gen-corpus", "--spec-file", f["spec"]]),
 }
 
-# Input errors about a whole file, or about a record the file is missing;
-# every other input error names the offending line.
+# Input errors about a whole JSON-lines file; every other input error names
+# the offending line, or the JSON object's file.
 WHOLE_FILE = ("empty rollout batch", "ragged groups", "group size must be",
-              "no outcomes", "outcome for unknown document", "no gold answer")
+              "no outcomes")
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     kinds, argv = COMMANDS[command]
-    return command, {kind: draw(jsonl(kind)) for kind in kinds}, argv
+    return command, {kind: draw(contents(kind)) for kind in kinds}, argv
 
 
 def _files(root: Path) -> set[Path]:
@@ -101,7 +123,7 @@ def test_fuzzed_inputs_exit_0_1_or_2_and_stay_inside_output_dir(invocation):
         out = root / "w" / "x" / "out"
         paths = {}
         for kind, blob in blobs.items():
-            paths[kind] = root / f"{kind}.jsonl"
+            paths[kind] = root / (f"{kind}.json" if kind in OBJECTS else f"{kind}.jsonl")
             paths[kind].write_bytes(blob)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -113,5 +135,6 @@ def test_fuzzed_inputs_exit_0_1_or_2_and_stay_inside_output_dir(invocation):
                           for p in paths.values())
             whole_file = any(message.endswith(f"[{p}]") for p in paths.values()) \
                 and message.startswith(tuple(f"input error: {m}" for m in WHOLE_FILE))
-            assert at_line or whole_file, message
+            an_object = any(message.endswith(f"[{paths[k]}]") for k in paths if k in OBJECTS)
+            assert at_line or whole_file or an_object, message
         assert _files(root) - set(paths.values()) <= _files(out)

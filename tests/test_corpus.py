@@ -83,3 +83,26 @@ def test_documents_fit_length_cap():
     rng = random.Random(13)
     for _ in range(300):
         assert len(random_valid_document(rng, max_depth=2)) <= 256
+
+
+class _LongestDraws(random.Random):
+    """Every optional part is drawn, at its largest size."""
+
+    def random(self):
+        return 0.0
+
+    def randint(self, a, b):
+        return b
+
+
+def test_spec_length_bound_is_tight():
+    # One block of one step: 15 + (9 + L) tokens at most, so L = 232 can
+    # reach the 256-token cap and L = 233 could pass it.
+    shape = {"block_count_weights": {1: 1.0}, "steps_per_block_weights": {1: 1.0}}
+    CorpusSpec(step_length_weights={232: 1.0}, **shape)
+    tokens = random_valid_document(_LongestDraws(0), max_depth=1, pair_plans_with_steps=True,
+                                   n_blocks=1, n_steps_weights={1: 1.0},
+                                   step_length_weights={232: 1.0})
+    assert len(tokens) == 256
+    with pytest.raises(ValueError, match="256-token cap"):
+        CorpusSpec(step_length_weights={233: 1.0}, **shape)
