@@ -148,10 +148,10 @@ def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
     for old, new, a_row in zip(old_logprobs, new_logprobs, adv):
         if len(old) != len(new):
             raise ValueError("old/new streams differ in token count")
-        for lo, ln, a in zip(old, new, a_row):
-            ratio = float(np.exp(ln - lo))
-            clipped = min(max(ratio, 1.0 - eps_low), 1.0 + eps_high)
-            acc += min(ratio * a, clipped * a)
+        ratio = np.exp(np.subtract(new, old, dtype=np.float64))
+        clipped = np.minimum(np.maximum(ratio, 1.0 - eps_low), 1.0 + eps_high)
+        a = np.asarray(a_row, dtype=np.float64)
+        acc += float(np.minimum(ratio * a, clipped * a).sum())
     return -acc / total_tokens
 
 

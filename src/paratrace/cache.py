@@ -4,7 +4,7 @@ The tree stores one token per node (one slot per cached token). Callers
 acquire leases: a lease pins every node on its path with a reference count
 and must be released exactly once. Slots are reclaimed only under pressure:
 when an insertion would overflow the budget, all unreferenced nodes are
-evicted in depth-first post-order before the insertion is retried. Live
+evicted, children before parents, before the insertion is retried. Live
 (referenced) nodes are never evicted; if the retry still does not fit, the
 operation fails atomically with :class:`BudgetExceeded`.
 
@@ -104,7 +104,8 @@ class RadixCache:
         node = lease._tip if lease._length else self._root
         child = node.children.get(token)
         if child is None:
-            self._reserve(1, protect=())
+            if self.usage >= self.budget:
+                self._reserve(1, protect=())
             child = _Node(token, node)
             node.children[token] = child
             self.usage += 1
@@ -133,20 +134,16 @@ class RadixCache:
 
     def flush(self) -> int:
         """Evict every unreferenced node, children before parents."""
+        # Breadth-first listing, visited in reverse: every node comes after
+        # all of its descendants, with no recursion on deep chains.
+        order = list(self._root.children.values())
+        for node in order:
+            order.extend(node.children.values())
         freed = 0
-        # Iterative post-order: chains can be deeper than the recursion limit.
-        stack: list[tuple[_Node, bool]] = [(self._root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                stack.extend((child, False) for child in node.children.values())
-                continue
-            for tok in list(node.children):
-                child = node.children[tok]
-                if child.ref_count == 0 and not child.children:
-                    del node.children[tok]
-                    freed += 1
+        for node in reversed(order):
+            if node.ref_count == 0 and not node.children:
+                del node.parent.children[node.token]
+                freed += 1
         self.usage -= freed
         return freed
 

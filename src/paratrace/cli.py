@@ -137,6 +137,10 @@ def _load_script(path) -> ScriptedPolicy:
 def _apply_config(args) -> None:
     """Run-config fields override their flags."""
     cfg = read_json_object(args.config, CONFIG)
+    for name in ("budget_slots", "max_new_tokens"):
+        if cfg.get(name, 1) < 1:
+            raise InputError(f"bad config: {name} must be at least 1, got {cfg[name]}",
+                             str(args.config))
     args.budget_slots = cfg.get("budget_slots", args.budget_slots)
     args.max_new_tokens = cfg.get("max_new_tokens", args.max_new_tokens)
     args.strict = cfg.get("strict_validator", args.strict)

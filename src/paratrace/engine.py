@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .cache import CacheLease, RadixCache
 from .document import ReasoningDoc, parse_document
@@ -39,8 +40,7 @@ _CLOSER = {GUIDELINE_OPEN: GUIDELINE_CLOSE.value, PLAN_OPEN: PLAN_CLOSE.value,
            STEP_OPEN: _STEP_CLOSE, TAKEAWAY_OPEN: _TAKEAWAY_CLOSE}
 
 
-@dataclass(frozen=True)
-class GenerationEvent:
+class GenerationEvent(NamedTuple):
     kind: str
     step: int
     branch: str | None = None
@@ -110,9 +110,9 @@ class ScriptedPolicy:
     """
 
     def __init__(self, prologue, branches: dict, takeaway):
-        self.prologue = tuple(str(t) for t in prologue)
-        self.branches = {str(k): tuple(str(t) for t in v) for k, v in branches.items()}
-        self.takeaway = tuple(str(t) for t in takeaway)
+        self.prologue = tuple(map(str, prologue))
+        self.branches = {str(k): tuple(map(str, v)) for k, v in branches.items()}
+        self.takeaway = tuple(map(str, takeaway))
         self._check_streams()
 
     def _check_streams(self) -> None:
@@ -220,10 +220,9 @@ class GenerationRun:
     def branch_streams(self) -> dict[str, list[str]]:
         """Per-branch token streams (emitted and forced) from the event log."""
         streams: dict[str, list[str]] = {}
-        for ev in self.events:
-            if ev.branch is not None and ev.token is not None \
-                    and ev.kind in ("emit", "truncate"):
-                streams.setdefault(ev.branch, []).append(ev.token)
+        for kind, _, branch, token in self.events:
+            if kind in ("emit", "truncate") and branch is not None and token is not None:
+                streams.setdefault(branch, []).append(token)
         return streams
 
 
@@ -258,10 +257,11 @@ class _Run:
         try:
             self.cache.extend(lease, token)
         finally:
-            self._note_flushes(branch)
+            if self._seen_flushes != self.cache.flush_count:
+                self._note_flushes(branch)
         out.append(token)
         self.emission_log.append(token)
-        self._event("emit", branch=branch, token=token)
+        self.events.append(GenerationEvent("emit", self.step, branch, token))
 
     def sequential(self, out: list[str], stream, lease: CacheLease) -> bool:
         """Emit a stream one token per step. False when the ledger ran dry."""

@@ -8,11 +8,10 @@ charge for audit and replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     step: int
     active_branches: int
     charged: int

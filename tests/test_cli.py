@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and determinism."""
 
+import hashlib
 import json
 import random
 
@@ -165,6 +166,28 @@ class TestSimulate:
                         + (out / "sim_events.jsonl").read_bytes()
                         + (out / "sim_stats.json").read_bytes())
         assert outs[0] == outs[1]
+
+    # Pinned sha256 of sim_events.jsonl then sim_stats.json over the runs
+    # below: speed work on the engine must leave them byte-for-byte the same.
+    PINNED_DIGEST = "ba115441ebbb0bab34caa1d1fb09015b15a1535fa1b310028ca190f38e57267d"
+
+    def test_artifact_bytes_are_pinned(self, tmp_path, script_file):
+        rejected = tmp_path / "rejected.json"
+        rejected.write_text(json.dumps({
+            "prologue": ["<guideline>", "</guideline>"],
+            "branches": {"1": ["<step>", "x", "</step>"]},
+            "takeaway": ["<takeaway>", "</takeaway>"]}))
+        digest = hashlib.sha256()
+        runs = [(script_file, [], 0), (script_file, ["--max-new-tokens", 9], 0),
+                (script_file, ["--budget-slots", 16], 0),  # one flush
+                (script_file, ["--strict", "--max-new-tokens", 3], 0), (rejected, [], 1)]
+        for i, (script, flags, code) in enumerate(runs):
+            out = tmp_path / str(i)
+            assert run_cli("--output-dir", out, "simulate", script, *flags) == code
+            for name in ("sim_events.jsonl", "sim_stats.json"):
+                if (out / name).exists():
+                    digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == self.PINNED_DIGEST
 
     def test_budget_sweep_monotone(self, tmp_path, script_file):
         emitted = []
@@ -586,6 +609,20 @@ def test_wrongly_typed_field_is_an_input_error(tmp_path, capsys, script_file,
     assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
     err = capsys.readouterr().err
     assert err.rstrip().endswith(where) and field in err, err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_new_tokens", 0), ("max_new_tokens", -3), ("budget_slots", 0), ("budget_slots", -1),
+])
+def test_out_of_range_config_is_an_input_error(tmp_path, capsys, script_file, field, value):
+    """A run-config value no run can use is refused by file name before the run."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert run_cli("--output-dir", tmp_path / "out", "simulate", script_file,
+                   "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"[{cfg}]") and field in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tables", [

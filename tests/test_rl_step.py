@@ -1,0 +1,227 @@
+"""The RL step's fast paths against their references, and its record types.
+
+The array-form clipped surrogate and the reverse breadth-first cache flush
+are compared with the scalar forms kept in ``reference_rl.py``. The record
+types the engine and the ledger build once per token or per round keep
+their public contract whatever their implementation.
+"""
+
+from __future__ import annotations
+
+import inspect
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paratrace import (BudgetExceeded, GenerationEvent, IllegalSchema, LedgerEntry,
+                       RadixCache, ScriptedPolicy, TokenLedger, dapo_surrogate,
+                       run_generation)
+from reference_rl import ref_dapo_surrogate, ref_flush
+
+# -- clipped surrogate ------------------------------------------------------
+
+ADVANTAGE = st.one_of(st.floats(-4, 4), st.just(0.0), st.sampled_from([0, 1, -1]))
+
+
+@st.composite
+def surrogate_case(draw):
+    """Records of 0..10 tokens, some exactly on a clip boundary, with
+    per-record or per-token advantages."""
+    # Choose each boundary as a ratio np.exp reaches exactly, so that
+    # ``1 - eps_low`` and ``1 + eps_high`` are hit without rounding.
+    low_delta = math.log(draw(st.floats(0.5, 0.99)))
+    high_delta = math.log(draw(st.floats(1.01, 2.0)))
+    eps_low = 1.0 - float(np.exp(low_delta))
+    eps_high = float(np.exp(high_delta)) - 1.0
+    token = st.one_of(
+        st.tuples(st.floats(-5, 0), st.floats(-2, 2)),
+        st.just((0.0, low_delta)),
+        st.just((0.0, high_delta)))
+    records = draw(st.lists(st.lists(token, max_size=10), min_size=1, max_size=5)
+                   .filter(lambda rs: any(rs)))
+    old = [[o for o, _ in r] for r in records]
+    new = [[o + d for o, d in r] for r in records]
+    advantages = [draw(st.one_of(ADVANTAGE, st.lists(ADVANTAGE, min_size=len(r),
+                                                     max_size=len(r))))
+                  for r in records]
+    return old, new, advantages, eps_low, eps_high
+
+
+@settings(max_examples=400, deadline=None)
+@given(surrogate_case())
+def test_dapo_surrogate_matches_scalar_reference(case):
+    old, new, advantages, eps_low, eps_high = case
+    want = ref_dapo_surrogate(old, new, advantages, eps_low, eps_high)
+    got = dapo_surrogate(old, new, advantages, eps_low, eps_high)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_boundary_ratios_are_exact():
+    """The strategy's boundary tokens sit exactly on the clip band's edges."""
+    low_delta, high_delta = math.log(0.8), math.log(1.28)
+    eps_low = 1.0 - float(np.exp(low_delta))
+    eps_high = float(np.exp(high_delta)) - 1.0
+    assert float(np.exp(low_delta - 0.0)) == 1.0 - eps_low
+    assert float(np.exp(high_delta - 0.0)) == 1.0 + eps_high
+    old, new = [[0.0, 0.0], []], [[low_delta, high_delta], []]
+    for adv in ([1.0, 2.0], [[-1.0, 1.0], []], [0.0, 0.0]):
+        assert dapo_surrogate(old, new, adv, eps_low, eps_high) == pytest.approx(
+            ref_dapo_surrogate(old, new, adv, eps_low, eps_high), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("old, new, advantages, message", [
+    ([[0.0]], [[0.0], [0.0]], [1.0], "record count"),
+    ([[0.0, 0.0]], [[0.0]], [1.0], "token count"),
+    ([[0.0, 0.0]], [[0.0, 0.0]], [[1.0]], "misaligned"),
+    ([[0.0], [0.0, 0.0]], [[0.0], [0.0, 0.0]], [1.0, [1.0]], "misaligned"),
+    ([[]], [[]], [1.0], "empty"),
+    ([[], []], [[], []], [[], 0.5], "empty"),
+    ([], [], [], "empty"),
+])
+def test_dapo_surrogate_refuses_what_the_reference_refuses(old, new, advantages,
+                                                           message):
+    for surrogate in (ref_dapo_surrogate, dapo_surrogate):
+        with pytest.raises(ValueError, match=message):
+            surrogate(old, new, advantages)
+
+
+# -- cache flush ------------------------------------------------------------
+
+def tree_snapshot(cache: RadixCache) -> list[tuple[int, str, int]]:
+    """(depth, token, ref_count) of every node in pre-order, children in
+    insertion order: the tree's shape, token paths, order and pins."""
+    out = []
+    stack = [(child, 1) for child in reversed(cache._root.children.values())]
+    while stack:
+        node, depth = stack.pop()
+        out.append((depth, node.token, node.ref_count))
+        stack.extend((child, depth + 1) for child in reversed(node.children.values()))
+    return out
+
+
+class RecordingCache(RadixCache):
+    """A cache that logs the outcome of every flush, with ``flush_impl``."""
+
+    def __init__(self, budget: int, flush_impl):
+        super().__init__(budget)
+        self.flush_impl = flush_impl
+        self.flushes = []
+
+    def flush(self) -> int:
+        freed = self.flush_impl(self)
+        self.flushes.append((freed, self.usage, self.flush_count, tree_snapshot(self)))
+        return freed
+
+
+def pair(budget: int) -> tuple[RecordingCache, RecordingCache]:
+    return RecordingCache(budget, RadixCache.flush), RecordingCache(budget, ref_flush)
+
+
+def apply(cache: RadixCache, leases: list, op):
+    """Run one operation; returns its result or the exception type it raised."""
+    kind, arg, token = op
+    try:
+        if kind == "insert":
+            leases.append(cache.match_and_insert(arg))
+            return leases[-1].matched, leases[-1].new_slots
+        if kind == "flush":
+            return cache.flush()
+        if not leases:
+            return None
+        lease = leases[arg % len(leases)]
+        if kind == "extend":
+            return cache.extend(lease, token)
+        leases.remove(lease)
+        return cache.release(lease)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+TOKEN = st.sampled_from("abc")
+OP = st.one_of(
+    st.tuples(st.just("insert"), st.lists(TOKEN, max_size=6), st.none()),
+    st.tuples(st.sampled_from(["extend", "extend", "release"]),
+              st.integers(0, 7), TOKEN),
+    st.tuples(st.just("flush"), st.none(), st.none()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.lists(OP, max_size=60))
+def test_flush_matches_post_order_reference(budget, ops):
+    fast, ref = pair(budget)
+    fast_leases, ref_leases = [], []
+    for op in ops:
+        assert apply(fast, fast_leases, op) == apply(ref, ref_leases, op), op
+        assert fast.flushes == ref.flushes
+        assert (fast.usage, fast.flush_count) == (ref.usage, ref.flush_count)
+        fast.check_integrity()
+    assert tree_snapshot(fast) == tree_snapshot(ref)
+
+
+def test_flush_of_chain_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    chain = [f"t{i}" for i in range(n)]
+    results = []
+    for cache in pair(n + 4):
+        # Dead siblings hang off a chain that stays pinned for its first half.
+        cache.release(cache.match_and_insert(chain))
+        for depth in (0, n // 2, n // 2 + 1, n - 1):
+            cache.release(cache.match_and_insert(chain[:depth] + ["side"]))
+        live = cache.match_and_insert(chain[:n // 2])
+        extra = cache.match_and_insert(["x", "y"])
+        assert cache.flush_count == 1
+        results.append((cache.flushes, cache.usage, len(live), len(extra)))
+    assert results[0] == results[1]
+    [(freed, usage, _, survivors)] = results[0][0]
+    assert usage == n // 2 == len(survivors)
+    assert freed == n - n // 2 + 4
+
+
+# -- record types -----------------------------------------------------------
+
+@pytest.mark.parametrize("cls, fields, defaults", [
+    (GenerationEvent, ("kind", "step", "branch", "token"), {"branch": None, "token": None}),
+    (LedgerEntry, ("step", "active_branches", "charged"), {}),
+])
+def test_record_fields_and_defaults(cls, fields, defaults):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == fields
+    assert {name: p.default for name, p in params.items()
+            if p.default is not inspect.Parameter.empty} == defaults
+
+
+@pytest.mark.parametrize("record", [
+    GenerationEvent("emit", 3, "1", "x"), GenerationEvent("fork", 0),
+    LedgerEntry(2, 3, 1),
+])
+def test_records_are_hashable_and_read_only(record):
+    twin = type(record)(*(getattr(record, name)
+                          for name in inspect.signature(type(record)).parameters))
+    assert record == twin and hash(record) == hash(twin) and len({record, twin}) == 1
+    for name in inspect.signature(type(record)).parameters:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert record == twin
+
+
+def test_event_json_bytes():
+    assert json.dumps(GenerationEvent("emit", 3, "1", "x").to_json_dict()) == (
+        '{"v": 1, "kind": "emit", "step": 3, "branch": "1", "token": "x"}')
+    assert json.dumps(GenerationEvent("join", 7).to_json_dict()) == (
+        '{"v": 1, "kind": "join", "step": 7, "branch": null, "token": null}')
+
+
+def test_illegal_schema_carries_events():
+    policy = ScriptedPolicy(["<guideline>", "</guideline>"], {"1": ["<step>", "x", "</step>"]},
+                            ["<takeaway>", "</takeaway>"])
+    with pytest.raises(IllegalSchema) as info:
+        run_generation(policy, RadixCache(64), TokenLedger(64))
+    events = info.value.events
+    assert events and all(type(e) is GenerationEvent for e in events)
+    assert [e.kind for e in events] == ["emit", "emit", "reject"]
+    assert events[-1] == GenerationEvent("reject", 2, None, "header declares no plan")
