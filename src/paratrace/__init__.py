@@ -26,8 +26,8 @@ from .errors import (BudgetExceeded, DoubleRelease, IllegalSchema, InputError,
                      UnbalancedTag)
 from .ledger import LedgerEntry, TokenLedger
 from .metrics import avg_at_k, best_at_k, doc_is_parallel, parallel_rate
-from .rewards import (RewardConfig, accept_filter, exact_boxed_match,
-                      format_reward, stage1_reward, stage3_reward)
+from .rewards import (accept_filter, exact_boxed_match, format_reward, stage1_reward,
+                      stage3_reward)
 from .rollouts import RolloutBatch, RolloutRecord
 from .tags import Tag, Token, is_tag, tag_of
 from .topology import (AttentionMask, BlockStats, Rect, TopologyStats,

@@ -115,16 +115,34 @@ def papo_advantage(batch: RolloutBatch) -> AdvantageTable:
                           EPSILON, values.degenerate)
 
 
-def _broadcast(advantages, streams) -> list[list[float]]:
-    out = []
+def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:
+    """The one alignment rule of the surrogates: per-token advantage rows for
+    ``streams``, and their total token count.
+
+    ``advantages`` holds one entry per record, a scalar broadcast over the
+    record's tokens or a per-token list. ``paired``, when given, must match
+    ``streams`` record for record and token for token. Any mismatch, and
+    streams with no tokens at all, raise ``ValueError``.
+    """
+    if paired is not None:
+        if len(paired) != len(streams):
+            raise ValueError("old/new streams differ in record count")
+        if any(len(p) != len(s) for p, s in zip(paired, streams)):
+            raise ValueError("old/new streams differ in token count")
+    if len(advantages) != len(streams):
+        raise ValueError("advantages and streams differ in record count")
+    rows = []
     for adv, stream in zip(advantages, streams):
         if isinstance(adv, (int, float)):
-            out.append([float(adv)] * len(stream))
+            rows.append(np.full(len(stream), float(adv)))
+        elif len(adv) != len(stream):
+            raise ValueError("per-token advantages misaligned with stream")
         else:
-            if len(adv) != len(stream):
-                raise ValueError("per-token advantages misaligned with stream")
-            out.append([float(a) for a in adv])
-    return out
+            rows.append(np.asarray(adv, dtype=np.float64))
+    total_tokens = sum(map(len, streams))
+    if total_tokens == 0:
+        raise ValueError("empty token streams")
+    return rows, total_tokens
 
 
 def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
@@ -138,19 +156,11 @@ def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
     lists. Returns the loss value; ratios outside the clip band contribute
     the clipped constant, so those tokens carry no gradient.
     """
-    if len(old_logprobs) != len(new_logprobs):
-        raise ValueError("old/new streams differ in record count")
-    adv = _broadcast(advantages, new_logprobs)
-    total_tokens = sum(len(s) for s in new_logprobs)
-    if total_tokens == 0:
-        raise ValueError("empty token streams")
+    rows, total_tokens = _aligned(new_logprobs, advantages, old_logprobs)
     acc = 0.0
-    for old, new, a_row in zip(old_logprobs, new_logprobs, adv):
-        if len(old) != len(new):
-            raise ValueError("old/new streams differ in token count")
+    for old, new, a in zip(old_logprobs, new_logprobs, rows):
         ratio = np.exp(np.subtract(new, old, dtype=np.float64))
         clipped = np.minimum(np.maximum(ratio, 1.0 - eps_low), 1.0 + eps_high)
-        a = np.asarray(a_row, dtype=np.float64)
         acc += float(np.minimum(ratio * a, clipped * a).sum())
     return -acc / total_tokens
 
@@ -169,12 +179,9 @@ def papo_surrogate(logprobs: Sequence[Sequence[float]], advantages) -> PapoSurro
     with no clipping and no importance reweighting, so every token with a
     nonzero advantage receives gradient, structural tags included.
     """
-    adv = _broadcast(advantages, logprobs)
-    total_tokens = sum(len(s) for s in logprobs)
-    if total_tokens == 0:
-        raise ValueError("empty token streams")
-    loss = -sum(a for row in adv for a in row) / total_tokens
-    grads = tuple(tuple(-a / total_tokens for a in row) for row in adv)
+    rows, total_tokens = _aligned(logprobs, advantages)
+    loss = -sum(a for row in rows for a in row.tolist()) / total_tokens
+    grads = tuple(tuple((-row / total_tokens).tolist()) for row in rows)
     return PapoSurrogate(loss, grads)
 
 
@@ -187,10 +194,8 @@ def papo_surrogate_frozen(logprobs: Sequence[Sequence[float]],
     finite differences of this function against the frozen reference measure
     the gradient contract of :func:`papo_surrogate`.
     """
-    adv = _broadcast(advantages, logprobs)
-    total_tokens = sum(len(s) for s in logprobs)
+    rows, total_tokens = _aligned(logprobs, advantages, ref_logprobs)
     acc = 0.0
-    for lp_row, ref_row, a_row in zip(logprobs, ref_logprobs, adv):
-        for lp, ref, a in zip(lp_row, ref_row, a_row):
-            acc += a * float(np.exp(lp - ref))
+    for lp, ref, a in zip(logprobs, ref_logprobs, rows):
+        acc += float((a * np.exp(np.subtract(lp, ref, dtype=np.float64))).sum())
     return -acc / total_tokens

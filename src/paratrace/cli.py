@@ -21,8 +21,7 @@ from .advantages import (EPSILON, dapo_advantage, dynamic_sampling_check,
 from .cache import RadixCache
 from .document import parse_document
 from .engine import ScriptedPolicy, run_generation
-from .errors import (BudgetExceeded, IllegalSchema, InputError, LedgerExhausted,
-                     ParseError, StructureError)
+from .errors import BudgetExceeded, IllegalSchema, InputError, ParseError, StructureError
 from .ledger import TokenLedger
 from .metrics import avg_at_k, best_at_k, parallel_rate
 from .rewards import format_reward, stage1_reward, stage3_reward
@@ -31,7 +30,7 @@ from .rewards import accept_filter  # noqa: F401
 from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, dumps,
                         read_json_object, read_jsonl_numbered, read_rollout_batch,
                         read_trace, write_jsonl, write_manifest)
-from .topology import build_attention_mask, build_position_ids, topology_stats
+from .topology import DENSE_LIMIT, build_attention_mask, build_position_ids, topology_stats
 from .validation import validate_structure
 
 EXIT_OK = 0
@@ -87,10 +86,9 @@ def _json_line(obj) -> bytes:
     return (dumps(obj) + "\n").encode("utf-8")
 
 
-def _write_per_document(args, build, encode, subdir: str, suffix: str):
+def _write_per_document(args, docs, build, encode, subdir: str, suffix: str):
     """One file per document under ``subdir``, holding ``encode(build(tokens))``,
     plus a ``<command>_status.jsonl`` row per document."""
-    docs = read_trace(args.trace)
     _check_file_ids(docs, args.trace, suffix)
     status = []
     outputs = []
@@ -114,17 +112,22 @@ def _write_per_document(args, build, encode, subdir: str, suffix: str):
 
 
 def cmd_mask(args):
+    docs = read_trace(args.trace)
     if args.format == "coords":
-        return _write_per_document(args, build_attention_mask,
+        return _write_per_document(args, docs, build_attention_mask,
                                    lambda mask: _json_line(mask.to_coords_dict()),
                                    "masks", ".mask.json")
-    return _write_per_document(args, build_attention_mask,
+    for lineno, doc in docs:
+        if (n := len(doc["tokens"])) > DENSE_LIMIT:
+            raise InputError(f"document {doc['id']!r} has {n} tokens; dense masks stop "
+                             f"at {DENSE_LIMIT}, use --format coords", args.trace, lineno)
+    return _write_per_document(args, docs, build_attention_mask,
                                lambda mask: mask.to_dense_bytes(), "masks", ".mask.bin")
 
 
 def cmd_posid(args):
-    return _write_per_document(args, build_position_ids, _json_line,
-                               "positions", ".pos.json")
+    return _write_per_document(args, read_trace(args.trace), build_position_ids,
+                               _json_line, "positions", ".pos.json")
 
 
 def _load_script(path) -> ScriptedPolicy:
@@ -134,13 +137,19 @@ def _load_script(path) -> ScriptedPolicy:
         raise InputError(f"bad script: {exc}", str(path)) from exc
 
 
+def _check_budgets(values: dict, path=None) -> None:
+    """The one range rule for the run budgets, given as flags or as run-config
+    fields (with ``path``): each must be at least 1."""
+    for name in ("budget_slots", "max_new_tokens"):
+        if values.get(name, 1) < 1:
+            what = f"config: {name}" if path else "flag: --" + name.replace("_", "-")
+            raise InputError(f"bad {what} must be at least 1, got {values[name]}", path)
+
+
 def _apply_config(args) -> None:
     """Run-config fields override their flags."""
     cfg = read_json_object(args.config, CONFIG)
-    for name in ("budget_slots", "max_new_tokens"):
-        if cfg.get(name, 1) < 1:
-            raise InputError(f"bad config: {name} must be at least 1, got {cfg[name]}",
-                             str(args.config))
+    _check_budgets(cfg, str(args.config))
     args.budget_slots = cfg.get("budget_slots", args.budget_slots)
     args.max_new_tokens = cfg.get("max_new_tokens", args.max_new_tokens)
     args.strict = cfg.get("strict_validator", args.strict)
@@ -148,13 +157,11 @@ def _apply_config(args) -> None:
 
 def cmd_simulate(args):
     policy = _load_script(args.script)
+    _check_budgets(vars(args))
     if args.config:
         _apply_config(args)
-    try:
-        cache = RadixCache(args.budget_slots)
-        ledger = TokenLedger(args.max_new_tokens)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    cache = RadixCache(args.budget_slots)
+    ledger = TokenLedger(args.max_new_tokens)
     events_path = _out(args, "sim_events.jsonl")
     try:
         run = run_generation(policy, cache, ledger, strict_validator=args.strict)
@@ -162,8 +169,6 @@ def cmd_simulate(args):
         write_jsonl(events_path, [e.to_json_dict() for e in exc.events])
         print(f"simulation rejected: {exc}")
         return EXIT_INVALID, [events_path]
-    except LedgerExhausted as exc:
-        raise InputError(str(exc)) from exc
     except BudgetExceeded as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_INVALID, []

@@ -15,7 +15,7 @@ from functools import partial
 from .errors import MisplacedTag, UnbalancedTag
 from .tags import (_TAG_SPLIT, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN,
                    STEP_CLOSE, STEP_OPEN, TAG_STRINGS, TAKEAWAY_CLOSE, TAKEAWAY_OPEN,
-                   Token, tag_events, token_texts)
+                   Token, tag_events)
 
 # Token() without its checks, which split parts always pass.
 _new_token = partial(str.__new__, Token)
@@ -39,7 +39,7 @@ def tokenize(text: str) -> list[Token]:
 
 def serialize(tokens) -> str:
     """Inverse of :func:`tokenize` up to whitespace normalization."""
-    return " ".join(token_texts(tokens))
+    return " ".join(tokens)
 
 
 @dataclass(frozen=True, order=True)
@@ -163,9 +163,10 @@ def parse_document(tokens) -> ReasoningDoc:
     Raises :class:`UnbalancedTag` for unmatched or unclosed tags and
     :class:`MisplacedTag` for tags the grammar does not allow where they
     appear. Cardinality problems (a block with no plans or no steps) are not
-    parse errors; the validator reports them.
+    parse errors; the validator reports them. The document keeps its own
+    list of the tokens, the one copy the structure layer makes.
     """
-    texts = token_texts(tokens)
+    texts = list(tokens)
     if not texts:
         raise ValueError("parse_document requires a non-empty token sequence")
 

@@ -9,10 +9,13 @@ answer-correct and format-valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .validation import CATEGORIES_TOTAL, ValidationReport, validate_structure
+
+PENALTY_SCALE = 2.0
+ACCURACY_CORRECT = 1.0
+ACCURACY_INCORRECT = -1.0
 
 
 def exact_boxed_match(pred: str | None, gold: str) -> bool:
@@ -23,43 +26,28 @@ def exact_boxed_match(pred: str | None, gold: str) -> bool:
 Comparator = Callable[[str | None, str], bool]
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    categories_total: int = CATEGORIES_TOTAL
-    penalty_scale: float = 2.0
-    accuracy_correct: float = 1.0
-    accuracy_incorrect: float = -1.0
-    comparator: Comparator = field(default=exact_boxed_match)
-
-
-DEFAULT_CONFIG = RewardConfig()
-
-
-def format_reward(report: ValidationReport, config: RewardConfig = DEFAULT_CONFIG) -> float:
-    """0.0 when the report is clean, else a penalty in (0, -penalty_scale]."""
+def format_reward(report: ValidationReport) -> float:
+    """0.0 when the report is clean, else a penalty in (0, -PENALTY_SCALE]."""
     if report.ok:
         return 0.0
-    return -config.penalty_scale * report.categories_failed / config.categories_total
+    return -PENALTY_SCALE * report.categories_failed / CATEGORIES_TOTAL
 
 
-def stage1_reward(report: ValidationReport, pred: str | None, gold: str,
-                  config: RewardConfig = DEFAULT_CONFIG) -> float:
+def stage1_reward(report: ValidationReport, pred: str | None, gold: str, *,
+                  comparator: Comparator = exact_boxed_match) -> float:
     """Format penalty when the check fails; otherwise accuracy on top of 0.0."""
     if not report.ok:
-        return format_reward(report, config)
-    if config.comparator(pred, gold):
-        return config.accuracy_correct
-    return config.accuracy_incorrect
+        return format_reward(report)
+    return stage3_reward(pred, gold, comparator=comparator)
 
 
-def stage3_reward(pred: str | None, gold: str,
-                  config: RewardConfig = DEFAULT_CONFIG) -> float:
+def stage3_reward(pred: str | None, gold: str, *,
+                  comparator: Comparator = exact_boxed_match) -> float:
     """Accuracy-only reward for already schema-filtered trajectories."""
-    return config.accuracy_correct if config.comparator(pred, gold) \
-        else config.accuracy_incorrect
+    return ACCURACY_CORRECT if comparator(pred, gold) else ACCURACY_INCORRECT
 
 
-def accept_filter(tokens, pred: str | None, gold: str,
-                  config: RewardConfig = DEFAULT_CONFIG) -> bool:
+def accept_filter(tokens, pred: str | None, gold: str, *,
+                  comparator: Comparator = exact_boxed_match) -> bool:
     """Keep a trajectory iff it is answer-correct and format-valid."""
-    return bool(config.comparator(pred, gold)) and validate_structure(tokens).ok
+    return bool(comparator(pred, gold)) and validate_structure(tokens).ok

@@ -39,7 +39,7 @@ def is_tag(text: str) -> bool:
     return text in TAG_STRINGS
 
 
-def tag_events(texts: list[str]):
+def tag_events(texts: list[str] | tuple[str, ...]):
     """Iterator of ``(index, tag)`` over the tag tokens of ``texts``; content
     tokens cost no Python-level step, as the scan runs in ``map`` and ``filter``."""
     tags = list(map(_TAG_BY_TEXT.get, texts))
@@ -82,8 +82,3 @@ class Token(str):
     @property
     def kind(self) -> str:
         return "tag" if self in TAG_STRINGS else "content"
-
-
-def token_texts(tokens) -> list[str]:
-    """A list of the tokens' texts; ``str`` items, Tokens included, pass through."""
-    return [t if isinstance(t, str) else str(t) for t in tokens]

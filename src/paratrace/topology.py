@@ -14,20 +14,20 @@ with the content for positions and visibility to stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .document import Span, parse_document
 from .errors import ParseError, StructureError
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, STEP_CLOSE, STEP_OPEN, TAKEAWAY_OPEN,
-                   tag_events, token_texts)
+                   tag_events)
 from .validation import validate_structure
 
 DENSE_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """A blocked rectangle: ``rows`` cannot attend to ``cols``."""
 
     rows: Span
@@ -108,16 +108,16 @@ class _TopoFrame:
         self.l_max = 0
 
 
-def _walk(tokens):
-    """Gate ``tokens`` on the validator, then walk their tag events once.
+def _walk(texts):
+    """Gate ``texts`` on the validator, then walk their tag events once.
 
-    Returns ``(texts, steps, positions, blocks)``, with each block's sibling
+    ``texts`` is a list or tuple of ``str``, read in place. Returns
+    ``(steps, positions, blocks)``, with each block's sibling
     step spans as ``(start, end)`` pairs and its :class:`BlockStats`, blocks
     in join order. A step open restarts positions one past the guideline
     close and the takeaway resumes one past the longest step; between such
     shifts positions rise by one per token, so each run is one ``range``.
     """
-    texts = token_texts(tokens)
     for v in validate_structure(texts).violations:
         if v.category == 1:
             raise StructureError(f"tag structure broken: {v.message}", v.index)
@@ -147,7 +147,7 @@ def _walk(tokens):
             pos += range(len(pos) + shift, i + shift)
             shift = top.p_end + top.l_max + 1 - i
     pos += range(len(pos) + shift, len(texts) + shift)
-    return texts, steps, pos, blocks
+    return steps, pos, blocks
 
 
 def build_attention_mask(tokens) -> AttentionMask:
@@ -156,12 +156,12 @@ def build_attention_mask(tokens) -> AttentionMask:
     Starts from the causal mask and, for each block in join order, blocks
     every ordered pair of distinct sibling step regions.
     """
-    texts, steps, _, _ = _walk(tokens)
+    steps, _, _ = _walk(tokens)
     blocked: list[Rect] = []
     for block_steps in steps:
         spans = [Span(a, b) for a, b in block_steps]
-        blocked += [Rect(rows=a, cols=b) for a in spans for b in spans if a is not b]
-    return AttentionMask(len(texts), tuple(blocked))
+        blocked += [Rect(a, b) for a in spans for b in spans if a is not b]
+    return AttentionMask(len(tokens), tuple(blocked))
 
 
 def mask_from_spans_oracle(tokens) -> AttentionMask:
@@ -170,13 +170,12 @@ def mask_from_spans_oracle(tokens) -> AttentionMask:
     Enumerates step spans via :func:`parse_document` and zeroes rectangles
     directly in a dense array, bypassing the tag walk entirely.
     """
-    texts = token_texts(tokens)
     try:
-        doc = parse_document(texts)
+        doc = parse_document(tokens)
     except (ParseError, ValueError) as exc:
         index = getattr(exc, "index", None)
         raise StructureError(f"tag structure broken: {exc}", index) from exc
-    n = len(texts)
+    n = len(tokens)
     dense = np.tril(np.ones((n, n), dtype=bool))
     for block in doc.iter_blocks():
         for a in block.steps:
@@ -193,7 +192,7 @@ def build_position_ids(tokens) -> list[int]:
     Sibling steps all restart one past their guideline close, and the
     takeaway sits one past the longest step.
     """
-    return _walk(tokens)[2]
+    return _walk(tokens)[1]
 
 
 @dataclass(frozen=True)
@@ -227,13 +226,13 @@ def topology_stats(tokens) -> TopologyStats:
     The compression ratio (total tokens over critical path) is the simulated
     speedup of parallel decode relative to left-to-right decode.
     """
-    texts, _, pos, blocks = _walk(tokens)
-    if not texts:
+    _, pos, blocks = _walk(tokens)
+    if not tokens:
         return TopologyStats(0, 0, 1.0, ())
     critical = max(pos) + 1
     return TopologyStats(
-        total_tokens=len(texts),
+        total_tokens=len(tokens),
         critical_path=critical,
-        compression_ratio=len(texts) / critical,
+        compression_ratio=len(tokens) / critical,
         blocks=tuple(blocks),
     )

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .document import ReasoningDoc, extract_boxed
+from .document import extract_boxed
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
-                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events, token_texts)
+                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events)
 
 CATEGORY_NAMES = {
     1: "tag_balance",
@@ -77,17 +77,14 @@ class _Scan:
         self.depth = depth
 
 
-def validate_structure(doc_or_tokens, strict: bool = False) -> ValidationReport:
+def validate_structure(texts: list[str] | tuple[str, ...],
+                       strict: bool = False) -> ValidationReport:
     """Evaluate the six structural categories over a trace.
 
-    Accepts raw tokens (str or Token) or an already parsed document. With
-    ``strict=True``, nested blocks and plan/step count mismatches are
-    additionally reported as category-1 violations.
+    ``texts`` is a list or tuple of ``str`` (``Token`` included), read in
+    place. With ``strict=True``, nested blocks and plan/step count
+    mismatches are additionally reported as category-1 violations.
     """
-    if isinstance(doc_or_tokens, ReasoningDoc):
-        doc_or_tokens = doc_or_tokens.tokens
-    texts = token_texts(doc_or_tokens)
-
     violations: list[Violation] = []
 
     def flag(category: int, index: int, message: str) -> None:

@@ -1,11 +1,10 @@
 """Reference implementations of the RL step's hot loops, kept for cross-checks.
 
-These are the earlier scalar forms: a clipped surrogate that calls ``np.exp``
-and clips one token at a time, summing in token order, and a cache flush
-that walks the tree in post-order with an explicit stack of
-``(node, expanded)`` pairs. They are slow but plainly correct, and share no
-code with :func:`paratrace.advantages.dapo_surrogate` or
-:meth:`paratrace.RadixCache.flush`.
+These are the earlier scalar forms: a clipped surrogate and a frozen-reference
+surrogate that call ``np.exp`` one token at a time, summing in token order,
+and a cache flush that walks the tree in post-order with an explicit stack
+of ``(node, expanded)`` pairs. They are slow but plainly correct, and share
+no code with :mod:`paratrace.advantages` or :meth:`paratrace.RadixCache.flush`.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ def ref_dapo_surrogate(old_logprobs, new_logprobs, advantages,
     """Clipped-ratio surrogate, token-normalized, one token at a time."""
     if len(old_logprobs) != len(new_logprobs):
         raise ValueError("old/new streams differ in record count")
+    if len(advantages) != len(new_logprobs):
+        raise ValueError("advantages and streams differ in record count")
     adv = []
     for a_rec, stream in zip(advantages, new_logprobs):
         if isinstance(a_rec, (int, float)):
@@ -39,6 +40,17 @@ def ref_dapo_surrogate(old_logprobs, new_logprobs, advantages,
             ratio = float(np.exp(ln - lo))
             clipped = min(max(ratio, 1.0 - eps_low), 1.0 + eps_high)
             acc += min(ratio * a, clipped * a)
+    return -acc / total_tokens
+
+
+def ref_papo_surrogate_frozen(logprobs, ref_logprobs, advantages) -> float:
+    """The frozen-reference surrogate on well-aligned streams, one token at a time."""
+    total_tokens = sum(len(s) for s in logprobs)
+    acc = 0.0
+    for lp_row, ref_row, a_rec in zip(logprobs, ref_logprobs, advantages):
+        a_row = [a_rec] * len(lp_row) if isinstance(a_rec, (int, float)) else a_rec
+        for lp, ref, a in zip(lp_row, ref_row, a_row):
+            acc += float(a) * float(np.exp(lp - ref))
     return -acc / total_tokens
 
 

@@ -10,6 +10,7 @@ import paratrace
 from paratrace import (corrupt, doc_is_parallel, parse_document, parallel_rate,
                        random_valid_document, topology_stats)
 from paratrace.cli import main
+from paratrace.topology import DENSE_LIMIT
 from paratrace.errors import ParseError
 from paratrace.tracefile import read_jsonl, write_jsonl
 from conftest import E1, E1_FULL
@@ -143,6 +144,29 @@ class TestMaskPosid:
         assert run_cli("--output-dir", tmp_path / "out", command, trace) == 2
         assert f"{trace}:3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_dense_mask_stops_at_the_cap(self, tmp_path, capsys):
+        """A 4,096-token trace gets a dense mask; at 4,097 tokens the trace is
+        refused at its line before any mask file is written."""
+        def padded(n):  # E1_FULL with its first step padded to n tokens
+            return E1_FULL[:9] + ["w"] * (n - len(E1_FULL)) + E1_FULL[9:]
+        assert DENSE_LIMIT == 4096
+        trace = tmp_path / "t.jsonl"
+        write_jsonl(trace, [{"id": "ok", "tokens": E1_FULL},
+                            {"id": "cap", "tokens": padded(DENSE_LIMIT)}])
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "mask", trace, "--format", "dense") == 0
+        raw = (out / "masks" / "cap.mask.bin").read_bytes()
+        assert len(raw) == DENSE_LIMIT * DENSE_LIMIT // 8
+
+        write_jsonl(trace, [{"id": "ok", "tokens": E1_FULL},
+                            {"id": "long", "tokens": padded(DENSE_LIMIT + 1)}])
+        out = tmp_path / "out2"
+        assert run_cli("--output-dir", out, "mask", trace, "--format", "dense") == 2
+        err = capsys.readouterr().err
+        assert f"[{trace}:2]" in err and "--format coords" in err, err
+        assert not out.exists()
+        assert run_cli("--output-dir", out, "mask", trace) == 0
 
 
 class TestSimulate:
@@ -622,6 +646,19 @@ def test_out_of_range_config_is_an_input_error(tmp_path, capsys, script_file, fi
                    "--config", cfg) == 2
     err = capsys.readouterr().err
     assert err.rstrip().endswith(f"[{cfg}]") and field in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-new-tokens", 0), ("--max-new-tokens", -3), ("--budget-slots", 0),
+    ("--budget-slots", -1),
+])
+def test_out_of_range_flag_is_an_input_error(tmp_path, capsys, script_file, flag, value):
+    """A budget flag is held to the same bound as its run-config field."""
+    assert run_cli("--output-dir", tmp_path / "out", "simulate", script_file,
+                   flag, value) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be at least 1, got {value}" in err, err
     assert not (tmp_path / "out").exists()
 
 

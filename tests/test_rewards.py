@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from paratrace import (RewardConfig, accept_filter, format_reward, stage1_reward,
-                       stage3_reward, validate_structure)
+from paratrace import (accept_filter, format_reward, stage1_reward, stage3_reward,
+                       validate_structure)
 from conftest import E1, E1_FULL
 
 
@@ -62,9 +62,13 @@ class TestStage3:
         assert stage3_reward("106^\\circ", "106^\\circ") == 1.0
 
     def test_pluggable_comparator(self):
-        numeric = RewardConfig(comparator=lambda p, g: p is not None
-                               and float(p) == float(g))
-        assert stage3_reward("1.50", "1.5", numeric) == 1.0
+        def numeric(p, g):
+            return p is not None and float(p) == float(g)
+        assert stage3_reward("1.50", "1.5", comparator=numeric) == 1.0
+        report = validate_structure(E1_FULL)
+        assert stage1_reward(report, "42.0", "42", comparator=numeric) == 1.0
+        assert accept_filter(E1_FULL, "42.0", "42", comparator=numeric) is True
+        assert accept_filter(E1_FULL, "42.0", "42") is False
 
 
 class TestAcceptFilter:

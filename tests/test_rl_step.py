@@ -1,7 +1,8 @@
 """The RL step's fast paths against their references, and its record types.
 
-The array-form clipped surrogate and the reverse breadth-first cache flush
-are compared with the scalar forms kept in ``reference_rl.py``. The record
+The array-form clipped and frozen-reference surrogates and the reverse
+breadth-first cache flush are compared with the scalar forms kept in
+``reference_rl.py``. The record
 types the engine and the ledger build once per token or per round keep
 their public contract whatever their implementation.
 """
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from paratrace import (BudgetExceeded, GenerationEvent, IllegalSchema, LedgerEntry,
                        RadixCache, ScriptedPolicy, TokenLedger, dapo_surrogate,
-                       run_generation)
-from reference_rl import ref_dapo_surrogate, ref_flush
+                       papo_surrogate, papo_surrogate_frozen, run_generation)
+from reference_rl import ref_dapo_surrogate, ref_flush, ref_papo_surrogate_frozen
 
 # -- clipped surrogate ------------------------------------------------------
 
@@ -82,12 +83,32 @@ def test_boundary_ratios_are_exact():
     ([[]], [[]], [1.0], "empty"),
     ([[], []], [[], []], [[], 0.5], "empty"),
     ([], [], [], "empty"),
+    # Advantages for fewer or more records than the streams hold.
+    ([[0.0], [0.0]], [[0.0], [0.0]], [1.0], "record count"),
+    ([[0.0]], [[0.0]], [1.0, 1.0], "record count"),
+    # The frozen surrogate called with one more token than its reference.
+    ([[0.0]], [[0.0, 0.0]], [1.0], "token count"),
 ])
 def test_dapo_surrogate_refuses_what_the_reference_refuses(old, new, advantages,
                                                            message):
-    for surrogate in (ref_dapo_surrogate, dapo_surrogate):
+    """All three surrogates refuse what the scalar reference refuses.
+    ``papo_surrogate`` reads one stream, so it runs where old and new agree."""
+    surrogates = [ref_dapo_surrogate, dapo_surrogate,
+                  lambda o, n, a: papo_surrogate_frozen(n, o, a)]
+    if list(map(len, old)) == list(map(len, new)):
+        surrogates.append(lambda o, n, a: papo_surrogate(n, a))
+    for surrogate in surrogates:
         with pytest.raises(ValueError, match=message):
             surrogate(old, new, advantages)
+
+
+@settings(max_examples=400, deadline=None)
+@given(surrogate_case())
+def test_papo_surrogate_frozen_matches_scalar_reference(case):
+    old, new, advantages, _, _ = case
+    want = ref_papo_surrogate_frozen(new, old, advantages)
+    got = papo_surrogate_frozen(new, old, advantages)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # -- cache flush ------------------------------------------------------------

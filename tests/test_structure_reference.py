@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paratrace import (ParseError, StructureError, Token, build_attention_mask,
-                       build_position_ids, corrupt, parse_document,
-                       random_valid_document, tokenize, topology_stats,
-                       validate_structure)
+                       build_position_ids, corrupt, mask_from_spans_oracle,
+                       parse_document, random_valid_document, serialize, tokenize,
+                       topology_stats, validate_structure)
 from paratrace.tags import TAG_STRINGS
 from reference_structure import (ref_attention_mask, ref_position_ids,
                                  ref_tokenize, ref_topology_stats)
@@ -87,6 +87,17 @@ def test_tokenize_matches_regex_split(pieces):
     assert all(type(t) is Token for t in tokens)
     assert [t.text for t in tokens] == ref_tokenize(text)
     assert [t.is_tag for t in tokens] == [t in TAG_STRINGS for t in tokens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_tuple_of_tokens_reads_like_the_equal_list(tokens):
+    """Tokens are read in place and never converted, so a tuple gives the same
+    report, mask, positions, stats and parse as the equal list."""
+    assert structure_record(tuple(tokens)) == structure_record(tokens)
+    assert serialize(tuple(tokens)) == serialize(tokens)
+    oracle = lambda t: mask_from_spans_oracle(t).to_dense_bytes()  # noqa: E731
+    assert outcome(oracle, tuple(tokens)) == outcome(oracle, tokens)
 
 
 # -- pinned outputs ------------------------------------------------------------

@@ -46,7 +46,10 @@ class TestCategories:
         assert validate_structure(["hello", "\\boxed{3}"]).ok
 
     def test_accepts_parsed_document(self, e1_full):
-        assert validate_structure(parse_document(e1_full)).ok
+        """A parsed document is validated through its tokens, the one input form."""
+        doc = parse_document(e1_full)
+        assert validate_structure(doc.tokens) == validate_structure(e1_full)
+        assert validate_structure(doc.tokens).ok
 
     def test_violation_carries_index(self, e1_full):
         tokens = e1_full + ["</plan>"]
