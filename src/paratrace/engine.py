@@ -30,6 +30,8 @@ from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_
 from .topology import TopologyStats, topology_stats
 
 SCHEDULES = ("round_robin", "reverse_round_robin", "branch_major")
+REPETITION_PENALTY = 1.02  # the paper's in-step repetition penalty
+CONFLUENCE_BUDGET = 1 << 16  # cache slots and new tokens per confluence run
 
 # Plain ``str`` texts: emitted tokens must not be Tag members, whose
 # f-string form on Python 3.11 is the member name, not the tag.
@@ -157,12 +159,11 @@ class ScriptedPolicy:
         return cls(data["prologue"], data["branches"], data["takeaway"])
 
 
-def apply_repetition_penalty(scores, context, in_step: bool,
-                             coefficient: float = 1.02) -> dict[str, float]:
+def apply_repetition_penalty(scores, context, in_step: bool) -> dict[str, float]:
     """Penalize candidates already seen inside the current step.
 
-    Positive scores are divided by the coefficient, negative ones multiplied.
-    Outside step regions (``in_step=False``) scores pass through unchanged.
+    Positive scores are divided by ``REPETITION_PENALTY``, negative ones
+    multiplied. Outside step regions (``in_step=False``) scores pass through unchanged.
     """
     if not in_step:
         return dict(scores)
@@ -170,7 +171,7 @@ def apply_repetition_penalty(scores, context, in_step: bool,
     out = {}
     for token, score in scores.items():
         if token in seen:
-            score = score / coefficient if score > 0 else score * coefficient
+            score = score / REPETITION_PENALTY if score > 0 else score * REPETITION_PENALTY
         out[token] = score
     return out
 
@@ -397,9 +398,7 @@ def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
                          stats=topology_stats(tokens), decode_steps=run.step)
 
 
-def schedule_confluence_check(policy: ScriptedPolicy, schedules=SCHEDULES,
-                              budget_slots: int = 1 << 16,
-                              max_new_tokens: int = 1 << 16) -> bool:
+def schedule_confluence_check(policy: ScriptedPolicy, schedules=SCHEDULES) -> bool:
     """True iff per-branch streams are identical under every schedule.
 
     Sibling steps are mutually masked, so a policy that only reads its own
@@ -408,8 +407,8 @@ def schedule_confluence_check(policy: ScriptedPolicy, schedules=SCHEDULES,
     """
     reference: dict[str, list[str]] | None = None
     for schedule in schedules:
-        run = run_generation(policy, RadixCache(budget_slots),
-                             TokenLedger(max_new_tokens), schedule=schedule)
+        run = run_generation(policy, RadixCache(CONFLUENCE_BUDGET),
+                             TokenLedger(CONFLUENCE_BUDGET), schedule=schedule)
         streams = run.branch_streams()
         if reference is None:
             reference = streams

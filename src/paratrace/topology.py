@@ -14,6 +14,7 @@ with the content for positions and visibility to stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -35,64 +36,74 @@ class Rect(NamedTuple):
 
 
 class AttentionMask:
-    """Sub-causal visibility over ``length`` tokens.
+    """Sub-causal visibility over ``length`` tokens: the causal mask minus blocked rectangles.
 
-    Stored as the causal mask minus a coordinate list of blocked rectangles;
-    a dense boolean view (True = visible) is materialized lazily for
-    sequences up to ``DENSE_LIMIT``.
+    Held as one group of ``(start, end)`` sibling step spans per block when built, as the
+    given :class:`Rect` list, or (:meth:`from_dense`) as a dense array with no rectangle
+    list. The dense view (True = visible) is built lazily up to ``DENSE_LIMIT`` tokens.
     """
 
-    def __init__(self, length: int, blocked: tuple[Rect, ...] = (),
-                 dense: np.ndarray | None = None):
+    def __init__(self, length: int, blocked: tuple[Rect, ...] = ()):
         self.length = length
-        self.blocked = tuple(blocked)
-        self._dense = dense
+        self._rects = tuple(blocked)
+        self._groups, self._dense = (), None
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "AttentionMask":
-        dense = np.asarray(dense, dtype=bool)
-        return cls(dense.shape[0], (), dense)
+        mask = cls(len(dense))
+        mask._rects, mask._dense = None, np.asarray(dense, dtype=bool)
+        return mask
+
+    def _pairs(self, span):
+        """Blocked ``(rows, cols)`` pairs in order, each span made by ``span(start, end)``.
+
+        A group yields every ordered pair of its spans, in ``permutations`` order."""
+        if self._rects is None:
+            raise ValueError("a mask made from a dense array lists no blocked rectangles")
+        for r in self._rects:
+            yield span(r.rows.start, r.rows.end), span(r.cols.start, r.cols.end)
+        for group in self._groups:
+            yield from permutations([span(a, b) for a, b in group], 2)
+
+    @property
+    def blocked(self) -> tuple[Rect, ...]:
+        """The blocked rectangles, built on each read."""
+        return tuple(Rect(rows, cols) for rows, cols in self._pairs(Span))
 
     def is_visible(self, i: int, j: int) -> bool:
+        if not (0 <= i < self.length and 0 <= j < self.length):
+            raise IndexError(f"({i}, {j}) outside a mask of {self.length} tokens")
         if j > i:
             return False
         if self._dense is not None:
             return bool(self._dense[i, j])
-        return not any(i in r.rows and j in r.cols for r in self.blocked)
+        return not any(i in rows and j in cols for rows, cols in self._pairs(range))
 
     def dense(self) -> np.ndarray:
         """Dense boolean view, True where attention is allowed."""
         if self._dense is None:
             if self.length > DENSE_LIMIT:
-                raise ValueError(
-                    f"dense mask unavailable above {DENSE_LIMIT} tokens; "
-                    "use the rectangle list")
+                raise ValueError(f"dense mask unavailable above {DENSE_LIMIT} tokens; "
+                                 "use the rectangle list")
             m = np.tril(np.ones((self.length, self.length), dtype=bool))
-            for r in self.blocked:
-                m[r.rows.start:r.rows.end, r.cols.start:r.cols.end] = False
+            for rows, cols in self._pairs(slice):
+                m[rows, cols] = False
             self._dense = m
         return self._dense
 
     def additive(self) -> np.ndarray:
         """Float view with 0 where visible and -inf where blocked."""
-        out = np.where(self.dense(), 0.0, -np.inf)
-        return out
+        return np.where(self.dense(), 0.0, -np.inf)
 
     def to_coords_dict(self) -> dict:
-        return {
-            "v": 1,
-            "length": self.length,
-            "blocked": [
-                {"row_span": [r.rows.start, r.rows.end],
-                 "col_span": [r.cols.start, r.cols.end]}
-                for r in self.blocked
-            ],
-        }
+        """Coords form; one ``[start, end]`` list per span, shared by its rectangles."""
+        return {"v": 1, "length": self.length,
+                "blocked": [{"row_span": rows, "col_span": cols}
+                            for rows, cols in self._pairs(lambda a, b: [a, b])]}
 
     def to_dense_bytes(self) -> bytes:
         """Row-major bitset, little-endian, LSB-first within each byte."""
-        flat = self.dense().astype(np.uint8).ravel()
-        return np.packbits(flat, bitorder="little").tobytes()
+        return np.packbits(self.dense(), axis=None, bitorder="little").tobytes()
 
     def same_visibility(self, other: "AttentionMask") -> bool:
         return self.length == other.length and np.array_equal(self.dense(), other.dense())
@@ -153,15 +164,11 @@ def _walk(texts):
 def build_attention_mask(tokens) -> AttentionMask:
     """Mask builder over one structural pass.
 
-    Starts from the causal mask and, for each block in join order, blocks
-    every ordered pair of distinct sibling step regions.
-    """
-    steps, _, _ = _walk(tokens)
-    blocked: list[Rect] = []
-    for block_steps in steps:
-        spans = [Span(a, b) for a, b in block_steps]
-        blocked += [Rect(a, b) for a in spans for b in spans if a is not b]
-    return AttentionMask(len(tokens), tuple(blocked))
+    Blocks every ordered pair of distinct sibling step regions, kept as the
+    walk's step groups, so building it is linear in the trace length."""
+    mask = AttentionMask(len(tokens))
+    mask._groups = _walk(tokens)[0]
+    return mask
 
 
 def mask_from_spans_oracle(tokens) -> AttentionMask:
@@ -178,11 +185,8 @@ def mask_from_spans_oracle(tokens) -> AttentionMask:
     n = len(tokens)
     dense = np.tril(np.ones((n, n), dtype=bool))
     for block in doc.iter_blocks():
-        for a in block.steps:
-            for b in block.steps:
-                if a is not b:
-                    dense[a.start:a.end, b.start:b.end] = False
-                    dense[b.start:b.end, a.start:a.end] = False
+        for a, b in permutations(block.steps, 2):
+            dense[a.start:a.end, b.start:b.end] = False
     return AttentionMask.from_dense(dense)
 
 

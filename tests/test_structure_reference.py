@@ -17,7 +17,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratrace import (ParseError, StructureError, Token, build_attention_mask,
+from paratrace import (AttentionMask, ParseError, StructureError, Token, build_attention_mask,
                        build_position_ids, corrupt, mask_from_spans_oracle,
                        parse_document, random_valid_document, serialize, tokenize,
                        topology_stats, validate_structure)
@@ -67,13 +67,42 @@ def outcome(fn, tokens):
         return ("StructureError", exc.index, str(exc))
 
 
+def mask_views(mask) -> list:
+    """The rectangles, the coords JSON and, up to 300 tokens, the dense bytes."""
+    views = [mask.blocked, json.dumps(mask.to_coords_dict())]
+    if mask.length <= 300:
+        views.append(mask.to_dense_bytes())
+    return views
+
+
+def reloaded(mask) -> AttentionMask:
+    """The mask rebuilt from its rectangles, as a coords file is read back."""
+    return AttentionMask(mask.length, mask.blocked)
+
+
 @settings(max_examples=300, deadline=None)
 @given(documents)
 def test_builders_match_references(tokens):
     assert outcome(build_position_ids, tokens) == outcome(ref_position_ids, tokens)
-    assert outcome(lambda t: build_attention_mask(t).blocked, tokens) == \
-        outcome(lambda t: ref_attention_mask(t).blocked, tokens)
+    want = outcome(lambda t: mask_views(ref_attention_mask(t)), tokens)
+    assert outcome(lambda t: mask_views(build_attention_mask(t)), tokens) == want
+    assert outcome(lambda t: mask_views(reloaded(build_attention_mask(t))), tokens) == want
     assert outcome(topology_stats, tokens) == outcome(ref_topology_stats, tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents.filter(lambda t: len(t) <= 60))
+def test_is_visible_reads_like_the_dense_view(tokens):
+    """Each cell's query, asked before any dense view exists, matches that view."""
+    try:
+        built = build_attention_mask(tokens)
+    except StructureError:
+        return
+    cells = range(len(tokens))
+    for make in (lambda: build_attention_mask(tokens), lambda: reloaded(built)):
+        queried, viewed = make(), make()
+        got = [[queried.is_visible(i, j) for j in cells] for i in cells]
+        assert got == viewed.dense().tolist()
 
 
 @settings(max_examples=300, deadline=None)

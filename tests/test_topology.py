@@ -1,10 +1,12 @@
 """Mask and position-id construction, oracle equivalence, exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from paratrace import (StructureError, build_attention_mask, build_position_ids,
-                       mask_from_spans_oracle, topology_stats)
+from paratrace import (AttentionMask, StructureError, build_attention_mask,
+                       build_position_ids, mask_from_spans_oracle, topology_stats)
 from conftest import (E1, E1_POSITIONS, assert_topology_invariants,
                       e1_expected_mask, make_corpus)
 
@@ -44,6 +46,26 @@ class TestMask:
         assert mask.is_visible(16, 9)       # takeaway sees step 1
         assert mask.is_visible(16, 13)      # takeaway sees step 2
         assert not mask.is_visible(9, 13)   # causality
+
+    def test_out_of_range_index_is_refused(self, e1):
+        n = len(e1)
+        for mask in (build_attention_mask(e1), mask_from_spans_oracle(e1), AttentionMask(n)):
+            for i, j in ((100, 5), (13, -9), (-1, 0), (n, 0), (0, n)):
+                with pytest.raises(IndexError):
+                    mask.is_visible(i, j)
+
+    def test_wide_block_builds_in_small_memory(self):
+        """A 1,000-step block blocks 999,000 ordered pairs; the mask stores none."""
+        tokens = (["<guideline>", "<plan>", "p", "</plan>", "</guideline>"]
+                  + ["<step>", "s", "</step>"] * 1000 + ["<takeaway>", "t", "</takeaway>"])
+        tracemalloc.start()
+        try:
+            mask = build_attention_mask(tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert not mask.is_visible(9, 6) and mask.is_visible(6, 6)
 
     def test_tagless_causal(self):
         tokens = ["a", "b", "c"]
@@ -87,6 +109,14 @@ class TestOracle:
             streaming = build_attention_mask(tokens)
             oracle = mask_from_spans_oracle(tokens)
             assert streaming.same_visibility(oracle), tokens
+
+    def test_dense_made_mask_lists_no_rectangles(self, e1):
+        oracle = mask_from_spans_oracle(e1)
+        assert oracle.same_visibility(build_attention_mask(e1))
+        with pytest.raises(ValueError, match="no blocked rectangles"):
+            oracle.blocked
+        with pytest.raises(ValueError, match="no blocked rectangles"):
+            oracle.to_coords_dict()
 
     def test_oracle_rejects_unbalanced(self, e1):
         with pytest.raises(StructureError):
