@@ -27,7 +27,7 @@ from .metrics import avg_at_k, best_at_k, parallel_rate
 from .rewards import format_reward, stage1_reward, stage3_reward
 # Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
 from .rewards import accept_filter  # noqa: F401
-from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, dumps,
+from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, dumps, make_parent,
                         read_json_object, read_jsonl_numbered, read_rollout_batch,
                         read_trace, write_jsonl, write_manifest)
 from .topology import DENSE_LIMIT, build_attention_mask, build_position_ids, topology_stats
@@ -40,9 +40,7 @@ EXIT_INTERNAL = 3
 
 
 def _out(args, *parts) -> Path:
-    path = Path(args.output_dir).joinpath(*parts)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    return make_parent(Path(args.output_dir).joinpath(*parts))
 
 
 def _check_file_ids(docs, path, suffix: str) -> None:

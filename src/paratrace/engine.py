@@ -28,6 +28,7 @@ from .ledger import TokenLedger
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
                    STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, is_tag, tag_events)
 from .topology import TopologyStats, topology_stats
+from .validation import TAG_RULES
 
 SCHEDULES = ("round_robin", "reverse_round_robin", "branch_major")
 REPETITION_PENALTY = 1.02  # the paper's in-step repetition penalty
@@ -180,30 +181,24 @@ def _validate_header(prologue, n_branches: int, strict: bool) -> str | None:
     """Pre-branch structural gate on the guideline header.
 
     Returns why the header is refused, or None. Checks are cheap and
-    conservative: the header must be exactly one guideline region with
-    balanced plans and at least one plan; strict mode also requires one plan
-    per branch.
+    conservative: the header must be exactly one guideline region, its tags
+    walking the validator's ``TAG_RULES`` from ``header`` to ``steps``, with
+    at least one plan; strict mode also requires one plan per branch.
     """
     tags = list(tag_events(prologue))
     if not tags or tags[0] != (0, GUIDELINE_OPEN):
         return "header must start with a guideline open"
     if tags[-1] != (len(prologue) - 1, GUIDELINE_CLOSE):
         return "header must end with the guideline close"
-    plan_count = 0
-    open_plan = False
-    closed = False
+    state = "header"
     for i, tag in tags[1:]:
-        if closed:
+        if state == "steps":
             return "tokens after the guideline close"
-        if tag is PLAN_OPEN and not open_plan:
-            open_plan = True
-        elif tag is PLAN_CLOSE and open_plan:
-            open_plan = False
-            plan_count += 1
-        elif tag is GUIDELINE_CLOSE and not open_plan:
-            closed = True
-        else:
+        needs, leaves, _ = TAG_RULES.get(tag, (None,) * 3)
+        if needs != state:
             return f"illegal header tag {prologue[i]!r}"
+        state = leaves
+    plan_count = sum(tag is PLAN_CLOSE for _, tag in tags)
     if plan_count < 1:
         return "header declares no plan"
     if strict and plan_count != n_branches:

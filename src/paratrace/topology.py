@@ -13,8 +13,10 @@ with the content for positions and visibility to stay consistent.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +40,11 @@ class Rect(NamedTuple):
 class AttentionMask:
     """Sub-causal visibility over ``length`` tokens: the causal mask minus blocked rectangles.
 
-    Held as one group of ``(start, end)`` sibling step spans per block when built, as the
-    given :class:`Rect` list, or (:meth:`from_dense`) as a dense array with no rectangle
-    list. The dense view (True = visible) is built lazily up to ``DENSE_LIMIT`` tokens.
+    Held as one group of ``(start, end)`` sibling step spans per block of two or more
+    steps when built, as the given :class:`Rect` list, or (:meth:`from_dense`) as a dense
+    array with no rectangle list. The dense view (True = visible) is built lazily up to
+    ``DENSE_LIMIT`` tokens; it and :meth:`is_visible` read a built mask's groups in
+    O(steps) array operations and O(blocks · log steps) per query.
     """
 
     def __init__(self, length: int, blocked: tuple[Rect, ...] = ()):
@@ -77,7 +81,13 @@ class AttentionMask:
             return False
         if self._dense is not None:
             return bool(self._dense[i, j])
-        return not any(i in rows and j in cols for rows, cols in self._pairs(range))
+        if any(i in r.rows and j in r.cols for r in self._rects):
+            return False
+        for group in self._groups:
+            row_step, col_step = _step_at(group, i), _step_at(group, j)
+            if None not in (row_step, col_step) and row_step != col_step:
+                return False
+        return True
 
     def dense(self) -> np.ndarray:
         """Dense boolean view, True where attention is allowed."""
@@ -86,8 +96,17 @@ class AttentionMask:
                 raise ValueError(f"dense mask unavailable above {DENSE_LIMIT} tokens; "
                                  "use the rectangle list")
             m = np.tril(np.ones((self.length, self.length), dtype=bool))
-            for rows, cols in self._pairs(slice):
-                m[rows, cols] = False
+            for r in self._rects:
+                m[r.rows.start:r.rows.end, r.cols.start:r.cols.end] = False
+            # Below the diagonal a step is blocked only from its earlier siblings:
+            # each span's rows keep the columns, from the group's first span on,
+            # that no earlier span holds.
+            for group in self._groups:
+                lo = group[0][0]
+                visible = np.ones(group[-1][0] - lo, dtype=bool)
+                for (a, b), (c, d) in zip(group, group[1:]):
+                    visible[a - lo:b - lo] = False
+                    m[c:d, lo:c] &= visible[:c - lo]
             self._dense = m
         return self._dense
 
@@ -107,6 +126,12 @@ class AttentionMask:
 
     def same_visibility(self, other: "AttentionMask") -> bool:
         return self.length == other.length and np.array_equal(self.dense(), other.dense())
+
+
+def _step_at(group, k: int) -> int | None:
+    """The index in ``group`` of the step span holding token ``k``, or None."""
+    at = bisect_right(group, k, key=itemgetter(0)) - 1
+    return at if at >= 0 and k < group[at][1] else None
 
 
 class _TopoFrame:
@@ -165,9 +190,10 @@ def build_attention_mask(tokens) -> AttentionMask:
     """Mask builder over one structural pass.
 
     Blocks every ordered pair of distinct sibling step regions, kept as the
-    walk's step groups, so building it is linear in the trace length."""
+    walk's step groups (blocks of one step block nothing), so building it is
+    linear in the trace length."""
     mask = AttentionMask(len(tokens))
-    mask._groups = _walk(tokens)[0]
+    mask._groups = [group for group in _walk(tokens)[0] if len(group) > 1]
     return mask
 
 

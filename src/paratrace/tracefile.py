@@ -95,11 +95,17 @@ def check_fields(row, schema: Schema, path, line: int | None = None) -> dict:
     return row
 
 
-def read_json_object(path, schema: Schema) -> dict:
-    """The JSON object in ``path``, checked against ``schema``."""
+def _input_file(path) -> Path:
+    """``path`` once it names a file, or an :class:`InputError` naming it."""
     path = Path(path)
     if not path.is_file():
-        raise InputError("file not found", str(path))
+        raise InputError("not a file" if path.exists() else "file not found", str(path))
+    return path
+
+
+def read_json_object(path, schema: Schema) -> dict:
+    """The JSON object in ``path``, checked against ``schema``."""
+    path = _input_file(path)
     try:
         data = loads(path.read_text(encoding="utf-8"))
     except (UnicodeError, json.JSONDecodeError) as exc:
@@ -114,9 +120,7 @@ def read_jsonl_numbered(path, schema: Schema | None = None) -> list[tuple[int, d
     Each line's bytes are decoded on their own, so bad UTF-8 is reported at
     its own line; ``bytes.splitlines`` breaks lines where text mode would.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError("file not found", str(path))
+    path = _input_file(path)
     rows = []
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
@@ -140,9 +144,19 @@ def read_jsonl(path) -> list[dict]:
     return [row for _, row in read_jsonl_numbered(path)]
 
 
-def write_jsonl(path, rows) -> None:
+def make_parent(path) -> Path:
+    """``path`` once its directory exists, or an :class:`InputError` naming
+    the path that keeps the directory from being made."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory ({exc.strerror})", exc.filename) from exc
+    return path
+
+
+def write_jsonl(path, rows) -> None:
+    path = make_parent(path)
     with path.open("w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(dumps(row) + "\n")
@@ -185,7 +199,6 @@ def write_manifest(path, subcommand: str, inputs, config: dict, outputs) -> dict
         "config": config,
         "outputs": [{"path": str(p), "sha256": sha256_file(p)} for p in outputs],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = make_parent(path)
     path.write_text(dumps(manifest) + "\n", encoding="utf-8")
     return manifest

@@ -63,18 +63,32 @@ class ValidationReport:
         }
 
 
-class _Scan:
-    __slots__ = ("start", "phase", "open_at", "plan_count", "step_count",
-                 "takeaway_count", "depth")
+# The production tag grammar, read by this validator and by the simulator's
+# header gate: each tag other than ``<guideline>`` maps to (the block state it
+# needs, the state it leaves, its category-1 message when the state differs).
+# A block runs header -> (plan -> header)* -> steps -> (step -> steps)* ->
+# takeaway -> None (closed); ``<guideline>`` opens a new block at top level or
+# inside an open step. Plain tuples: they unpack faster than named ones.
+TAG_RULES = {
+    PLAN_OPEN: ("header", "plan", "plan outside a guideline header"),
+    PLAN_CLOSE: ("plan", "header", "plan close without open plan"),
+    GUIDELINE_CLOSE: ("header", "steps", "guideline close without open header"),
+    STEP_OPEN: ("steps", "step", "step must follow the guideline close"),
+    STEP_CLOSE: ("step", "steps", "step close without open step"),
+    TAKEAWAY_OPEN: ("steps", "takeaway", "takeaway must follow the step region"),
+    TAKEAWAY_CLOSE: ("takeaway", None, "takeaway close without open takeaway"),
+}
 
-    def __init__(self, start: int, depth: int):
-        self.start = start
-        self.phase = "header"
-        self.open_at: int | None = None
-        self.plan_count = 0
-        self.step_count = 0
-        self.takeaway_count = 0
-        self.depth = depth
+
+class _Scan:
+    """One block: its state, the index of its last move, and its closed plans and steps."""
+
+    __slots__ = ("start", "state", "at", "plans", "steps")
+
+    def __init__(self, start: int):
+        self.start = self.at = start
+        self.state: str | None = "header"
+        self.plans = self.steps = 0
 
 
 def validate_structure(texts: list[str] | tuple[str, ...],
@@ -96,87 +110,45 @@ def validate_structure(texts: list[str] | tuple[str, ...],
 
     for i, tag in tag_events(texts):
         top = stack[-1] if stack else None
-
         if tag is GUIDELINE_OPEN:
-            if top is None:
-                stack.append(_Scan(i, 0))
-            elif top.phase == "steps" and top.open_at is not None:
-                if strict:
+            if top is None or top.state == "step":
+                if strict and top is not None:
                     flag(1, i, "nested block forbidden in strict mode")
-                stack.append(_Scan(i, top.depth + 1))
+                stack.append(_Scan(i))
             else:
                 flag(1, i, "block may only open at top level or inside a step")
-        elif tag is PLAN_OPEN:
-            if top is not None and top.phase == "header" and top.open_at is None:
-                top.open_at = i
-            else:
-                flag(1, i, "plan outside a guideline header")
-                if top is None:
-                    flag(5, i, "plan tag outside block structure")
-        elif tag is PLAN_CLOSE:
-            if top is not None and top.phase == "header" and top.open_at is not None:
-                top.open_at = None
-                top.plan_count += 1
-            else:
-                flag(1, i, "plan close without open plan")
-                if top is None:
-                    flag(5, i, "plan tag outside block structure")
-        elif tag is GUIDELINE_CLOSE:
-            if top is not None and top.phase == "header" and top.open_at is None:
-                top.phase = "steps"
-            else:
-                flag(1, i, "guideline close without open header")
-                if top is None:
-                    flag(5, i, "guideline tag outside block structure")
-        elif tag is STEP_OPEN:
-            if top is not None and top.phase == "steps" and top.open_at is None:
-                top.open_at = i
-            else:
-                flag(1, i, "step must follow the guideline close")
-                if top is None:
-                    flag(5, i, "step tag outside block structure")
-        elif tag is STEP_CLOSE:
-            if top is not None and top.phase == "steps" and top.open_at is not None:
-                top.open_at = None
-                top.step_count += 1
-            else:
-                flag(1, i, "step close without open step")
-                if top is None:
-                    flag(5, i, "step tag outside block structure")
-        elif tag is TAKEAWAY_OPEN:
-            if top is not None and top.phase == "steps" and top.open_at is None:
-                top.phase = "takeaway"
-            else:
-                flag(1, i, "takeaway must follow the step region")
-                if top is None:
-                    flag(5, i, "takeaway tag outside block structure")
-        elif tag is TAKEAWAY_CLOSE:
-            if top is not None and top.phase == "takeaway":
-                top.takeaway_count += 1
-                scanned.append(top)
-                stack.pop()
-                if top.depth == 0:
+            continue
+        needs, leaves, message = TAG_RULES[tag]
+        if top is not None and top.state == needs:
+            top.state = leaves
+            top.at = i
+            if tag is PLAN_CLOSE:
+                top.plans += 1
+            elif tag is STEP_CLOSE:
+                top.steps += 1
+            elif leaves is None:
+                scanned.append(stack.pop())
+                if not stack:
                     last_top_close = i
-            else:
-                flag(1, i, "takeaway close without open takeaway")
-                if top is None:
-                    flag(5, i, "takeaway tag outside block structure")
+        else:
+            flag(1, i, message)
+            if top is None:
+                flag(5, i, f"{tag.value.strip('</>')} tag outside block structure")
 
     for frame in stack:
-        at = frame.open_at if frame.open_at is not None else frame.start
+        at = frame.at if frame.state in ("plan", "step") else frame.start
         flag(1, at, "block left unclosed at end of sequence")
         scanned.append(frame)
 
     for frame in scanned:
-        if frame.plan_count == 0:
+        if frame.plans == 0:
             flag(2, frame.start, "guideline declares no plan")
-        if frame.step_count == 0:
+        if frame.steps == 0:
             flag(3, frame.start, "block runs no step")
-        if frame.takeaway_count != 1:
+        if frame.state is not None:
             flag(4, frame.start, "block lacks a completed takeaway")
-        if strict and frame.plan_count != frame.step_count:
-            flag(1, frame.start,
-                 f"strict mode: {frame.plan_count} plans vs {frame.step_count} steps")
+        if strict and frame.plans != frame.steps:
+            flag(1, frame.start, f"strict mode: {frame.plans} plans vs {frame.steps} steps")
 
     epilogue_start = last_top_close + 1 if last_top_close is not None else 0
     if extract_boxed(" ".join(texts[epilogue_start:])) is None:

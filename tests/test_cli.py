@@ -561,6 +561,24 @@ def test_lone_surrogate_in_a_script_is_an_input_error(tmp_path, capsys):
     assert str(script) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("validate", "{dir}"), "dir"),
+    (("metrics", "{trace}", "--outcomes", "{dir}"), "dir"),
+    (("filter", "{trace}", "--answers", "{dir}"), "dir"),
+    (("--output-dir", "{file}", "validate", "{trace}"), "file"),
+    (("--manifest", "{file}/m.json", "validate", "{trace}"), "file"),
+], ids=["trace-dir", "outcomes-dir", "answers-dir", "output-dir-file", "manifest-under-file"])
+def test_unusable_named_path_is_an_input_error(tmp_path, capsys, trace_file, argv, named):
+    """A directory named as an input file, or a file in the way of an output
+    directory, exits 2 and names that path."""
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "trace": trace_file}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    out = ("--output-dir", tmp_path / "out") if "--output-dir" not in argv else ()
+    assert run_cli(*out, *(a.format(**paths) for a in argv)) == 2
+    assert f"[{paths[named]}]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["validate", "filter", "mask", "metrics"])
 @pytest.mark.parametrize("bad", [b"\xe2\x82", b"\\ud800"])
 def test_bad_utf8_or_lone_surrogate_is_an_input_error_at_its_line(tmp_path, capsys,

@@ -1,9 +1,11 @@
 """The structure layer against its references and a pinned output digest.
 
-The production tokenizer, mask builder, position builder and topology stats
-are compared with the earlier implementations kept in
-``reference_structure.py`` over three kinds of input: valid corpus
-documents, documents with one injected violation, and tag soups. The digest
+The production tokenizer, validator, mask builder, position builder and
+topology stats are compared with the earlier implementations kept in
+``reference_structure.py`` over four kinds of input: valid corpus documents,
+documents with one injected violation, tag soups, and valid documents with
+tags inserted or deleted. The simulator's header gate is compared with its
+reference over tag soups and edited legal headers. The digest
 pins every structural output over a fixed input set; it was computed with
 the earlier implementations.
 """
@@ -21,9 +23,11 @@ from paratrace import (AttentionMask, ParseError, StructureError, Token, build_a
                        build_position_ids, corrupt, mask_from_spans_oracle,
                        parse_document, random_valid_document, serialize, tokenize,
                        topology_stats, validate_structure)
+from paratrace.engine import _validate_header
 from paratrace.tags import TAG_STRINGS
-from reference_structure import (ref_attention_mask, ref_position_ids,
-                                 ref_tokenize, ref_topology_stats)
+from reference_structure import (ref_attention_mask, ref_position_ids, ref_tokenize,
+                                 ref_topology_stats, ref_validate_header,
+                                 ref_validate_structure)
 
 TAGS = sorted(TAG_STRINGS)
 WORDS = ["w", "x1", "\\boxed{7}", "a<b", "<", "<step", "step>"]
@@ -37,9 +41,8 @@ def corrupted_doc(seed: int, category: int) -> list[str]:
     return corrupt(valid_doc(seed), category, random.Random(seed))
 
 
-def mutated_doc(seed: int, edits) -> list[str]:
-    """A valid document with tags inserted (``tag``) or tokens deleted (None)."""
-    tokens = valid_doc(seed)
+def edited(tokens: list[str], edits) -> list[str]:
+    """``tokens`` with tags inserted (``tag``) or tokens deleted (None)."""
     for at, tag in edits:
         if tag is None:
             if tokens:
@@ -47,6 +50,10 @@ def mutated_doc(seed: int, edits) -> list[str]:
         else:
             tokens.insert(at % (len(tokens) + 1), tag)
     return tokens
+
+
+def mutated_doc(seed: int, edits) -> list[str]:
+    return edited(valid_doc(seed), edits)
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -88,6 +95,36 @@ def test_builders_match_references(tokens):
     assert outcome(lambda t: mask_views(build_attention_mask(t)), tokens) == want
     assert outcome(lambda t: mask_views(reloaded(build_attention_mask(t))), tokens) == want
     assert outcome(topology_stats, tokens) == outcome(ref_topology_stats, tokens)
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents)
+def test_validator_matches_reference(tokens):
+    """The rule-table validator gives the hand-coded one's report, violation
+    for violation and in order, in both modes."""
+    for strict in (False, True):
+        assert validate_structure(tokens, strict) == ref_validate_structure(tokens, strict)
+
+
+def header(plans: int, edits) -> list[str]:
+    """A legal guideline header with ``plans`` plans, then ``edits``."""
+    return edited(["<guideline>"] + ["<plan>", "w", "</plan>"] * plans + ["</guideline>"],
+                  edits)
+
+
+headers = st.one_of(
+    st.lists(st.sampled_from(TAGS + WORDS[:2]), max_size=12),
+    st.builds(header, st.integers(0, 4),
+              st.lists(st.tuples(st.integers(0, 100), st.sampled_from(TAGS + [None])),
+                       max_size=2)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(headers, st.integers(1, 3), st.booleans())
+def test_header_gate_matches_reference(prologue, branches, strict):
+    assert (_validate_header(prologue, branches, strict)
+            == ref_validate_header(prologue, branches, strict))
 
 
 @settings(max_examples=200, deadline=None)

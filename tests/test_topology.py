@@ -1,5 +1,6 @@
 """Mask and position-id construction, oracle equivalence, exports."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,25 @@ class TestMask:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert not mask.is_visible(9, 6) and mask.is_visible(6, 6)
+
+    def test_wide_block_views_enumerate_no_pairs(self, monkeypatch):
+        """A 2,043-step block blocks 4.17M ordered pairs; the dense view and
+        point queries read the step groups instead, and match the oracle."""
+        tokens = (["<guideline>", "<plan>", "p", "</plan>", "</guideline>"]
+                  + ["<step>", "</step>"] * 2043
+                  + ["<takeaway>", "t", "</takeaway>", "\\boxed{1}"])
+        n = len(tokens)
+        want = mask_from_spans_oracle(tokens).dense()
+
+        def no_pairs(self, span):
+            raise AssertionError("blocked pairs enumerated")
+        monkeypatch.setattr(AttentionMask, "_pairs", no_pairs)
+        rng = random.Random(0)
+        cells = [(i, rng.randrange(i + 1)) for i in (rng.randrange(n) for _ in range(3000))]
+        cells += [(8, 5), (8, 6), (8, 7), (4088, 4086), (4088, 4087), (4093, 4088), (n - 1, 0)]
+        probe = build_attention_mask(tokens)
+        assert [probe.is_visible(i, j) for i, j in cells] == [want[i, j] for i, j in cells]
+        assert np.array_equal(build_attention_mask(tokens).dense(), want)
 
     def test_tagless_causal(self):
         tokens = ["a", "b", "c"]

@@ -51,6 +51,14 @@ class TestCategories:
         assert validate_structure(doc.tokens) == validate_structure(e1_full)
         assert validate_structure(doc.tokens).ok
 
+    def test_only_a_top_level_close_starts_the_epilogue(self):
+        """A nested block that closes inside a block left open does not start
+        the epilogue, so the answer before it still counts."""
+        header = ["<guideline>", "<plan>", "p", "</plan>", "</guideline>"]
+        inner = header + ["<step>", "s", "</step>", "<takeaway>", "t", "</takeaway>"]
+        tokens = header + ["<step>", "\\boxed{1}"] + inner + ["</step>"]
+        assert failed(tokens) == {1, 4}
+
     def test_violation_carries_index(self, e1_full):
         tokens = e1_full + ["</plan>"]
         report = validate_structure(tokens)
