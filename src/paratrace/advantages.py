@@ -32,13 +32,8 @@ def dapo_advantage(rewards: Sequence[float]) -> GroupAdvantage:
     """Group-relative advantages: (R - mean(group)) / std(group)."""
     if len(rewards) < 2:
         raise ValueError("group must contain at least two rewards")
-    arr = np.asarray(rewards, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std())
-    if std <= EPSILON:
-        return GroupAdvantage((0.0,) * len(rewards), mean, std, True)
-    values = tuple(float(v) for v in (arr - mean) / std)
-    return GroupAdvantage(values, mean, std, False)
+    (values,), (mean,), std, degenerate = papo_group_values([rewards])
+    return GroupAdvantage(values, mean, std, degenerate)
 
 
 def dynamic_sampling_check(outcomes) -> bool:

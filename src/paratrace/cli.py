@@ -24,12 +24,12 @@ from .engine import ScriptedPolicy, run_generation
 from .errors import BudgetExceeded, IllegalSchema, InputError, ParseError, StructureError
 from .ledger import TokenLedger
 from .metrics import avg_at_k, best_at_k, parallel_rate
-from .rewards import format_reward, stage1_reward, stage3_reward
+from .rewards import exact_boxed_match, format_reward, stage1_reward, stage3_reward
 # Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
 from .rewards import accept_filter  # noqa: F401
-from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, dumps, make_parent,
-                        read_json_object, read_jsonl_numbered, read_rollout_batch,
-                        read_trace, write_jsonl, write_manifest)
+from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, json_line, read_json_object,
+                        read_jsonl_numbered, read_rollout_batch, read_trace, write_file,
+                        write_jsonl, write_manifest)
 from .topology import DENSE_LIMIT, build_attention_mask, build_position_ids, topology_stats
 from .validation import validate_structure
 
@@ -40,7 +40,7 @@ EXIT_INTERNAL = 3
 
 
 def _out(args, *parts) -> Path:
-    return make_parent(Path(args.output_dir).joinpath(*parts))
+    return Path(args.output_dir).joinpath(*parts)
 
 
 def _check_file_ids(docs, path, suffix: str) -> None:
@@ -73,15 +73,10 @@ def cmd_validate(args):
     for lineno, doc in docs:
         report = validate_structure(doc["tokens"], strict=args.strict)
         rows.append({"id": doc["id"], "line": lineno, **report.to_json_dict()})
-    report_path = _out(args, "validation_report.jsonl")
-    write_jsonl(report_path, rows)
+    report_path = write_jsonl(_out(args, "validation_report.jsonl"), rows)
     n_bad = sum(1 for r in rows if not r["ok"])
     print(f"validated {len(rows)} documents: {len(rows) - n_bad} ok, {n_bad} invalid")
     return (EXIT_INVALID if n_bad else EXIT_OK), [report_path]
-
-
-def _json_line(obj) -> bytes:
-    return (dumps(obj) + "\n").encode("utf-8")
 
 
 def _write_per_document(args, docs, build, encode, subdir: str, suffix: str):
@@ -95,15 +90,11 @@ def _write_per_document(args, docs, build, encode, subdir: str, suffix: str):
                "length": len(doc["tokens"]), "error": None}
         try:
             data = encode(build(doc["tokens"]))
-            path = _out(args, subdir, doc["id"] + suffix)
-            path.write_bytes(data)
-            outputs.append(path)
+            outputs.append(write_file(_out(args, subdir, doc["id"] + suffix), data))
         except StructureError as exc:
             row.update(ok=False, error=str(exc))
         status.append(row)
-    status_path = _out(args, f"{args.command}_status.jsonl")
-    write_jsonl(status_path, status)
-    outputs.append(status_path)
+    outputs.append(write_jsonl(_out(args, f"{args.command}_status.jsonl"), status))
     n_bad = sum(1 for r in status if not r["ok"])
     print(f"{subdir} for {len(status)} documents: {len(status) - n_bad} built, {n_bad} failed")
     return (EXIT_INVALID if n_bad else EXIT_OK), outputs
@@ -113,7 +104,7 @@ def cmd_mask(args):
     docs = read_trace(args.trace)
     if args.format == "coords":
         return _write_per_document(args, docs, build_attention_mask,
-                                   lambda mask: _json_line(mask.to_coords_dict()),
+                                   lambda mask: json_line(mask.to_coords_dict()),
                                    "masks", ".mask.json")
     for lineno, doc in docs:
         if (n := len(doc["tokens"])) > DENSE_LIMIT:
@@ -125,7 +116,7 @@ def cmd_mask(args):
 
 def cmd_posid(args):
     return _write_per_document(args, read_trace(args.trace), build_position_ids,
-                               _json_line, "positions", ".pos.json")
+                               json_line, "positions", ".pos.json")
 
 
 def _load_script(path) -> ScriptedPolicy:
@@ -170,18 +161,16 @@ def cmd_simulate(args):
     except BudgetExceeded as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_INVALID, []
-    doc_path = _out(args, "sim_document.json")
-    doc_path.write_text(
-        dumps({"id": "sim", "tokens": run.doc.texts()}) + "\n", encoding="utf-8")
+    doc_path = write_file(_out(args, "sim_document.json"),
+                          json_line({"id": "sim", "tokens": run.doc.texts()}))
     write_jsonl(events_path, [e.to_json_dict() for e in run.events])
-    stats_path = _out(args, "sim_stats.json")
-    stats_path.write_text(dumps({
+    stats_path = write_file(_out(args, "sim_stats.json"), json_line({
         **run.stats.to_json_dict(),
         "decode_steps": run.decode_steps,
         "charged_tokens": ledger.charged,
         "cache_usage": cache.usage,
         "cache_flushes": cache.flush_count,
-    }) + "\n", encoding="utf-8")
+    }))
     print(f"simulated {run.stats.total_tokens} tokens in {run.decode_steps} steps "
           f"(speedup {run.stats.compression_ratio:.3f})")
     return EXIT_OK, [doc_path, events_path, stats_path]
@@ -200,14 +189,13 @@ def cmd_advantage(args):
         for group in scored.groups:
             rewards = [r.reward for r in group]
             result = dapo_advantage(rewards)
-            keep = dynamic_sampling_check([r.reward > 0 for r in group])
+            keep = dynamic_sampling_check(rewards)
             for record, adv in zip(group, result.advantages):
                 rows.append({"id": record.record_id, "group": record.group_id,
                              "advantage": adv, "num_tokens": len(record.tokens),
                              "group_mean": result.mean, "divisor": result.std,
                              "epsilon": EPSILON, "discarded": not keep})
-    path = _out(args, "advantages.jsonl")
-    write_jsonl(path, rows)
+    path = write_jsonl(_out(args, "advantages.jsonl"), rows)
     print(f"advantages for {len(rows)} records ({args.algo})")
     return EXIT_OK, [path]
 
@@ -224,8 +212,7 @@ def cmd_reward(args):
             "stage3_reward": stage3_reward(record.pred, record.gold),
             "format_ok": report.ok,
         })
-    path = _out(args, "rewards.jsonl")
-    write_jsonl(path, rows)
+    path = write_jsonl(_out(args, "rewards.jsonl"), rows)
     print(f"rewards for {len(rows)} records")
     return EXIT_OK, [path]
 
@@ -243,16 +230,14 @@ def cmd_filter(args):
             raise InputError(f"no gold answer for document {doc_id}", args.trace, lineno)
         pred = _doc_pred(tokens)
         report = validate_structure(tokens, strict=args.strict)
-        correct = pred is not None and pred == gold
+        correct = exact_boxed_match(pred, gold)
         accepted = correct and report.ok
         rows.append({"id": doc_id, "accepted": accepted, "correct": correct,
                      "format_ok": report.ok})
         if accepted:
             accepted_docs.append({"id": doc_id, "tokens": tokens, "gold": gold})
-    report_path = _out(args, "filter_report.jsonl")
-    write_jsonl(report_path, rows)
-    accepted_path = _out(args, "accepted.jsonl")
-    write_jsonl(accepted_path, accepted_docs)
+    report_path = write_jsonl(_out(args, "filter_report.jsonl"), rows)
+    accepted_path = write_jsonl(_out(args, "accepted.jsonl"), accepted_docs)
     n_acc = sum(1 for r in rows if r["accepted"])
     print(f"filtered {len(rows)} documents: {n_acc} accepted, {len(rows) - n_acc} rejected")
     return EXIT_OK, [report_path, accepted_path]
@@ -296,8 +281,7 @@ def cmd_metrics(args):
         "documents": len(docs),
         "questions": len(by_id),
     }
-    path = _out(args, "metrics.json")
-    path.write_text(dumps(report) + "\n", encoding="utf-8")
+    path = write_file(_out(args, "metrics.json"), json_line(report))
     print(f"metrics over {len(docs)} documents / {len(by_id)} questions: "
           f"avg@k {report['avg_at_k']:.4f}, parallel rate {report['parallel_rate']:.1f}%")
     return EXIT_OK, [path]
@@ -317,10 +301,8 @@ def cmd_gen_corpus(args):
     except ValueError as exc:
         raise InputError(f"bad corpus spec: {exc}", args.spec_file) from exc
     docs, keys = corpus_mod.generate_corpus(spec)
-    corpus_path = _out(args, "corpus.jsonl")
-    write_jsonl(corpus_path, docs)
-    key_path = _out(args, "corpus_key.jsonl")
-    write_jsonl(key_path, [
+    corpus_path = write_jsonl(_out(args, "corpus.jsonl"), docs)
+    key_path = write_jsonl(_out(args, "corpus_key.jsonl"), [
         {"id": k.doc_id, "corrupted": k.corrupted, "category": k.category,
          "gold": k.gold} for k in keys])
     n_bad = sum(1 for k in keys if k.corrupted)

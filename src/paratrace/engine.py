@@ -57,7 +57,6 @@ class GenerationEvent(NamedTuple):
 @dataclass
 class BranchState:
     branch_id: str
-    parent_prefix_len: int
     emitted: list[str] = field(default_factory=list)
     status: str = "active"  # active | closed | truncated
     lease: CacheLease | None = None
@@ -332,23 +331,20 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
         for bid in policy.branch_ids:
             lease = cache.match_and_insert(prologue)
             run._note_flushes(bid)
-            branches.append(BranchState(bid, parent_prefix_len=len(prologue),
-                                        lease=lease))
+            branches.append(BranchState(bid, lease=lease))
         try:
             _parallel_phase(run, branches)
             run._event("join")
         finally:
             for b in branches:
-                if b.lease is not None and not b.lease.released:
-                    cache.release(b.lease)
+                cache.release(b.lease)
 
         tail: list[str] = []
         if not run.sequential(tail, policy.takeaway, main_lease):
             run.force_close(tail)
         return _finish(run, prologue + [t for b in branches for t in b.emitted] + tail)
     finally:
-        if not main_lease.released:
-            cache.release(main_lease)
+        cache.release(main_lease)
 
 
 def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:

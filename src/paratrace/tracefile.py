@@ -144,22 +144,28 @@ def read_jsonl(path) -> list[dict]:
     return [row for _, row in read_jsonl_numbered(path)]
 
 
-def make_parent(path) -> Path:
-    """``path`` once its directory exists, or an :class:`InputError` naming
-    the path that keeps the directory from being made."""
+def json_line(obj) -> bytes:
+    """``obj`` as one line of UTF-8 JSON, the encoding of every JSON output."""
+    return (dumps(obj) + "\n").encode("utf-8")
+
+
+def write_file(path, data: bytes) -> Path:
+    """The one way an output reaches disk: make ``path``'s directory, then
+    write ``data`` there. A path the OS refuses (a file where a directory
+    must go, a directory where the file must go) is an :class:`InputError`
+    naming the refused path."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
     except OSError as exc:
-        raise InputError(f"cannot create directory ({exc.strerror})", exc.filename) from exc
+        raise InputError(f"cannot write output ({exc.strerror})",
+                         str(exc.filename or path)) from exc
     return path
 
 
-def write_jsonl(path, rows) -> None:
-    path = make_parent(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(dumps(row) + "\n")
+def write_jsonl(path, rows) -> Path:
+    return write_file(path, b"".join(map(json_line, rows)))
 
 
 def read_trace(path) -> list[tuple[int, dict]]:
@@ -182,11 +188,7 @@ def read_rollout_batch(path) -> RolloutBatch:
 
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_manifest(path, subcommand: str, inputs, config: dict, outputs) -> dict:
@@ -199,6 +201,5 @@ def write_manifest(path, subcommand: str, inputs, config: dict, outputs) -> dict
         "config": config,
         "outputs": [{"path": str(p), "sha256": sha256_file(p)} for p in outputs],
     }
-    path = make_parent(path)
-    path.write_text(dumps(manifest) + "\n", encoding="utf-8")
+    write_file(path, json_line(manifest))
     return manifest

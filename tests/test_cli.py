@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, and determinism."""
 
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,18 @@ class TestSimulate:
         events = read_jsonl(out / "sim_events.jsonl")
         assert any(e["kind"] == "reject" for e in events)
 
+    @pytest.mark.parametrize("branch", [["alpha"], ["<step>", "a", "</step>", "b"]])
+    def test_branch_outside_one_step_region_is_an_input_error(self, tmp_path, capsys,
+                                                              branch):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"prologue": E1[:8],
+                                      "branches": {"1": branch, "2": E1[12:15]},
+                                      "takeaway": E1[15:]}))
+        assert run_cli("--output-dir", tmp_path / "out", "simulate", script) == 2
+        err = capsys.readouterr().err
+        assert "must span one step region" in err and err.rstrip().endswith(f"[{script}]")
+        assert not (tmp_path / "out").exists()
+
     def test_illegal_header_refused_at_every_budget(self, tmp_path):
         script = tmp_path / "illegal.json"
         script.write_text(json.dumps({
@@ -466,6 +480,13 @@ class TestMetrics:
         assert report["simulated_speedup_mean"] == sum(speedups) / len(speedups)
         assert report["best_at_k"] == report["avg_at_k"] == 15 / 45
 
+    def test_empty_outcomes_is_an_input_error(self, tmp_path, capsys, trace_file):
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_text("\n")
+        assert run_cli("--output-dir", tmp_path / "o", "metrics", trace_file,
+                       "--outcomes", outcomes) == 2
+        assert f"no outcomes [{outcomes}]" in capsys.readouterr().err
+
     def test_unknown_outcome_id(self, tmp_path, trace_file):
         outcomes = tmp_path / "outcomes.jsonl"
         write_jsonl(outcomes, [{"id": "ghost", "correct": True}])
@@ -497,6 +518,19 @@ class TestGenCorpus:
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "gen-corpus", "--spec-file", spec) == 0
         assert len(read_jsonl(out / "corpus.jsonl")) == 5
+
+    def test_seed_flag_overrides_the_spec_seed(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        blobs = []
+        for name, seed, flags in (("flag", 3, ("--seed", 9)), ("spec", 9, ())):
+            spec.write_text(json.dumps({"documents": 5, "corruption_rate": 0.5,
+                                        "seed": seed}))
+            out = tmp_path / name
+            assert run_cli(*flags, "--output-dir", out, "gen-corpus",
+                           "--spec-file", spec) == 0
+            assert "with seed 9" in capsys.readouterr().out
+            blobs.append((out / "corpus.jsonl").read_bytes())
+        assert blobs[0] == blobs[1]
 
 
     def test_negative_docs_is_input_error(self, tmp_path, capsys):
@@ -567,13 +601,24 @@ def test_lone_surrogate_in_a_script_is_an_input_error(tmp_path, capsys):
     (("filter", "{trace}", "--answers", "{dir}"), "dir"),
     (("--output-dir", "{file}", "validate", "{trace}"), "file"),
     (("--manifest", "{file}/m.json", "validate", "{trace}"), "file"),
-], ids=["trace-dir", "outcomes-dir", "answers-dir", "output-dir-file", "manifest-under-file"])
+    (("--manifest", "{dir}", "validate", "{trace}"), "dir"),
+    (("validate", "{trace}"), "out/validation_report.jsonl"),
+    (("mask", "{trace}"), "out/masks/good.mask.json"),
+    (("metrics", "{trace}", "--outcomes", "{outcomes}"), "out/metrics.json"),
+], ids=["trace-dir", "outcomes-dir", "answers-dir", "output-dir-file", "manifest-under-file",
+        "manifest-dir", "report-dir", "mask-file-dir", "metrics-dir"])
 def test_unusable_named_path_is_an_input_error(tmp_path, capsys, trace_file, argv, named):
-    """A directory named as an input file, or a file in the way of an output
-    directory, exits 2 and names that path."""
-    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "trace": trace_file}
+    """A directory named as an input file, a file in the way of an output
+    directory, or a directory in the way of an output file (named relative
+    to ``tmp_path``) exits 2 and names that path."""
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file", "trace": trace_file,
+             "outcomes": tmp_path / "outcomes.jsonl"}
     paths["dir"].mkdir()
     paths["file"].write_text("")
+    write_jsonl(paths["outcomes"], [{"id": "good", "correct": True}])
+    if named not in paths:
+        paths[named] = tmp_path / named
+        paths[named].mkdir(parents=True)
     out = ("--output-dir", tmp_path / "out") if "--output-dir" not in argv else ()
     assert run_cli(*out, *(a.format(**paths) for a in argv)) == 2
     assert f"[{paths[named]}]" in capsys.readouterr().err
@@ -653,6 +698,20 @@ def test_wrongly_typed_field_is_an_input_error(tmp_path, capsys, script_file,
     assert err.rstrip().endswith(where) and field in err, err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("logprobs", [-0.1], "1 log-probs for 2 tokens"),
+    ("reward", 5, "reward 5 outside [-3, 1]"),
+])
+def test_out_of_range_rollout_record_is_an_input_error(tmp_path, capsys, field, value,
+                                                       message):
+    """A well-typed rollout record that no batch can hold is refused at its line."""
+    batch = tmp_path / "batch.jsonl"
+    write_jsonl(batch, [{**GOOD_RECORDS["batch"], field: value}, GOOD_RECORDS["batch"]])
+    assert run_cli("--output-dir", tmp_path / "out", "reward", batch) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.rstrip().endswith(f"[{batch}:1]"), err
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_new_tokens", 0), ("max_new_tokens", -3), ("budget_slots", 0), ("budget_slots", -1),
 ])
@@ -694,3 +753,29 @@ def test_out_of_range_spec_is_an_input_error(tmp_path, capsys, tables):
     assert run_cli("--output-dir", tmp_path / "out", "gen-corpus", "--spec-file", spec) == 2
     assert capsys.readouterr().err.rstrip().endswith(f"[{spec}]")
     assert not (tmp_path / "out").exists()
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """``x.write_text(...)``, ``x.write_bytes(...)``, or ``open``/``x.open``
+    with a mode that is not a plain read (or that cannot be read off the call)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    at = 0 if isinstance(func, ast.Attribute) else 1  # Path.open(mode) / open(path, mode)
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[at:at + 1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and set(m.value) <= set("rbt")) for m in modes)
+
+
+def test_only_tracefile_writes_files():
+    """Every output reaches disk through ``tracefile.write_file``, the one
+    place that turns a refused path into an input error (exit 2)."""
+    package = Path(paratrace.__file__).parent
+    writers = sorted(f"{path.name}:{node.lineno}" for path in package.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Call) and _writes_a_file(node)
+                     and path.name != "tracefile.py")
+    assert writers == []

@@ -272,7 +272,7 @@ class TestRepetitionPenalty:
         assert out["y"] == 1.0
 
     def test_branch_state_window_clears_per_step(self):
-        branch = BranchState("1", parent_prefix_len=0)
+        branch = BranchState("1")
         for tok in ("<step>", "alpha", "</step>"):
             branch.record(tok)
         assert "alpha" in branch.step_tokens
@@ -282,7 +282,7 @@ class TestRepetitionPenalty:
         assert out["alpha"] == 2.0
 
     def test_branch_state_window_is_derived_from_emitted(self):
-        branch = BranchState("1", parent_prefix_len=0)
+        branch = BranchState("1")
         for tok in ("a", "b"):
             branch.record(tok)
         assert branch.step_tokens == ["a", "b"]  # no step open yet: everything

@@ -8,6 +8,7 @@ import pytest
 
 from paratrace import (AttentionMask, StructureError, build_attention_mask,
                        build_position_ids, mask_from_spans_oracle, topology_stats)
+from paratrace.topology import DENSE_LIMIT
 from conftest import (E1, E1_POSITIONS, assert_topology_invariants,
                       e1_expected_mask, make_corpus)
 
@@ -87,6 +88,11 @@ class TestMask:
         assert [probe.is_visible(i, j) for i, j in cells] == [want[i, j] for i, j in cells]
         assert np.array_equal(build_attention_mask(tokens).dense(), want)
 
+    def test_dense_view_stops_above_the_cap(self):
+        mask = build_attention_mask(["w"] * (DENSE_LIMIT + 1))
+        with pytest.raises(ValueError, match="dense mask unavailable"):
+            mask.dense()
+
     def test_tagless_causal(self):
         tokens = ["a", "b", "c"]
         assert np.array_equal(build_attention_mask(tokens).dense(),
@@ -119,6 +125,13 @@ class TestMask:
 class TestOracle:
     def test_e1_equivalence(self, e1):
         assert build_attention_mask(e1).same_visibility(mask_from_spans_oracle(e1))
+
+    def test_e1_point_queries_agree(self, e1):
+        built, oracle = build_attention_mask(e1), mask_from_spans_oracle(e1)
+        cells = [(i, j) for i in range(len(e1)) for j in range(i + 1)]
+        assert [oracle.is_visible(i, j) for i, j in cells] == \
+            [built.is_visible(i, j) for i, j in cells]
+        assert not all(oracle.is_visible(i, j) for i, j in cells)
 
     def test_tagless_equivalence(self):
         tokens = ["a", "b"]
