@@ -25,7 +25,8 @@ def tokenize(text: str) -> list[Token]:
     """Whitespace-delimited reference tokenizer.
 
     Reserved tag strings always come out as their own tokens, even when the
-    input glues them to neighbouring text.
+    input glues them to neighbouring text. Equal texts come out as one shared
+    :class:`Token` object per call.
     """
     chunks = text.split()
     # Every tag holds one "<"; if each "<" sits in a chunk that is exactly a
@@ -34,7 +35,10 @@ def tokenize(text: str) -> list[Token]:
         chunks = [part for chunk in chunks
                   for part in (_TAG_SPLIT.split(chunk) if "<" in chunk else (chunk,))
                   if part]
-    return list(map(_new_token, chunks))
+    # One Token per distinct text: a token is an immutable str, so repeats
+    # share it, and a trace allocates one object per word, not per token.
+    distinct = dict.fromkeys(chunks)
+    return list(map(dict(zip(distinct, map(_new_token, distinct))).__getitem__, chunks))
 
 
 def serialize(tokens) -> str:

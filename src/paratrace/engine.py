@@ -349,14 +349,16 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
 
 def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
     """Decode the branches in rounds; each round charges one token per active
-    branch of its group. Branch-major order runs each branch as its own group."""
+    branch of its group. Branch-major order runs each branch as its own group.
+    A branch never becomes active again, so each round filters the previous
+    round's active list, not the whole group."""
     order = list(branches)
     if run.schedule == "reverse_round_robin":
         order = order[::-1]
     groups = [[b] for b in order] if run.schedule == "branch_major" else [order]
-    for group in groups:
+    for active in groups:
         while True:
-            active = [b for b in group if b.status == "active"]
+            active = [b for b in active if b.status == "active"]
             if not active:
                 break
             accepted = run.ledger.charge(len(active))

@@ -39,11 +39,20 @@ def is_tag(text: str) -> bool:
     return text in TAG_STRINGS
 
 
-def tag_events(texts: list[str] | tuple[str, ...]):
-    """Iterator of ``(index, tag)`` over the tag tokens of ``texts``; content
-    tokens cost no Python-level step, as the scan runs in ``map`` and ``filter``."""
+def tag_scan(texts: list[str] | tuple[str, ...]) -> tuple[list[int], list[Tag]]:
+    """The tag tokens of ``texts`` as two lists, their indices and their tags.
+
+    This is the one tag scan: it reads ``texts`` once, and content tokens cost
+    no Python-level step, as it runs in ``map``, ``compress`` and ``filter``.
+    ``zip`` the lists to read the ``(index, tag)`` events; two lists of ints
+    and enum members hold no per-tag tuple for the collector to track."""
     tags = list(map(_TAG_BY_TEXT.get, texts))
-    return zip(compress(range(len(tags)), tags), filter(None, tags))
+    return list(compress(range(len(tags)), tags)), list(filter(None, tags))
+
+
+def tag_events(texts: list[str] | tuple[str, ...]):
+    """Iterator of ``(index, tag)`` over the tag tokens of ``texts``."""
+    return zip(*tag_scan(texts))
 
 
 class Token(str):

@@ -1,7 +1,7 @@
 """Parallel attention-mask and position-id construction.
 
-The mask, the position ids and the topology stats each come from one walk
-over the tag events, after one validator pass that gates them. Sibling step
+The mask, the position ids and the topology stats each come from one tag
+scan, which a validator pass gates and one walk then reads. Sibling step
 regions of a block are mutually blocked in the mask, and their position ids
 all restart one past the guideline close, so a document's decode depth is
 ``max(position) + 1`` instead of its token count.
@@ -24,7 +24,7 @@ import numpy as np
 from .document import Span, parse_document
 from .errors import ParseError, StructureError
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, STEP_CLOSE, STEP_OPEN, TAKEAWAY_OPEN,
-                   tag_events)
+                   tag_scan)
 from .validation import validate_structure
 
 DENSE_LIMIT = 4096
@@ -95,7 +95,7 @@ class AttentionMask:
             if self.length > DENSE_LIMIT:
                 raise ValueError(f"dense mask unavailable above {DENSE_LIMIT} tokens; "
                                  "use the rectangle list")
-            m = np.tril(np.ones((self.length, self.length), dtype=bool))
+            m = np.tri(self.length, dtype=bool)
             for r in self._rects:
                 m[r.rows.start:r.rows.end, r.cols.start:r.cols.end] = False
             # Below the diagonal a step is blocked only from its earlier siblings:
@@ -145,16 +145,18 @@ class _TopoFrame:
 
 
 def _walk(texts):
-    """Gate ``texts`` on the validator, then walk their tag events once.
+    """Scan the tags of ``texts`` once, gate them on the validator, then walk them.
 
-    ``texts`` is a list or tuple of ``str``, read in place. Returns
+    ``texts`` is a list or tuple of ``str``, read in place; the validator
+    reads the same scan as the walk. Returns
     ``(steps, positions, blocks)``, with each block's sibling
     step spans as ``(start, end)`` pairs and its :class:`BlockStats`, blocks
     in join order. A step open restarts positions one past the guideline
     close and the takeaway resumes one past the longest step; between such
     shifts positions rise by one per token, so each run is one ``range``.
     """
-    for v in validate_structure(texts).violations:
+    events = tag_scan(texts)
+    for v in validate_structure(texts, events=events).violations:
         if v.category == 1:
             raise StructureError(f"tag structure broken: {v.message}", v.index)
     stack: list[_TopoFrame] = []
@@ -162,7 +164,7 @@ def _walk(texts):
     blocks: list[BlockStats] = []
     pos: list[int] = []
     shift = 0  # pos[i] == i + shift within the current run
-    for i, tag in tag_events(texts):
+    for i, tag in zip(*events):
         if tag is GUIDELINE_OPEN:
             stack.append(_TopoFrame())
         elif tag is GUIDELINE_CLOSE:
@@ -209,7 +211,7 @@ def mask_from_spans_oracle(tokens) -> AttentionMask:
         index = getattr(exc, "index", None)
         raise StructureError(f"tag structure broken: {exc}", index) from exc
     n = len(tokens)
-    dense = np.tril(np.ones((n, n), dtype=bool))
+    dense = np.tri(n, dtype=bool)
     for block in doc.iter_blocks():
         for a, b in permutations(block.steps, 2):
             dense[a.start:a.end, b.start:b.end] = False

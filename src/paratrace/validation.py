@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .document import extract_boxed
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
-                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events)
+                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, Tag, tag_scan)
 
 CATEGORY_NAMES = {
     1: "tag_balance",
@@ -91,13 +91,17 @@ class _Scan:
         self.plans = self.steps = 0
 
 
-def validate_structure(texts: list[str] | tuple[str, ...],
-                       strict: bool = False) -> ValidationReport:
+def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False, *,
+                       events: tuple[list[int], list[Tag]] | None = None) -> ValidationReport:
     """Evaluate the six structural categories over a trace.
 
     ``texts`` is a list or tuple of ``str`` (``Token`` included), read in
     place. With ``strict=True``, nested blocks and plan/step count
     mismatches are additionally reported as category-1 violations.
+    ``events`` is the ``(index, tag)`` events of ``texts``, when the caller
+    already holds them: the ``(indices, tags)`` lists that
+    :func:`~paratrace.tags.tag_scan` returns for ``texts``, read and not
+    checked against them. Without it the validator makes that scan itself.
     """
     violations: list[Violation] = []
 
@@ -108,7 +112,8 @@ def validate_structure(texts: list[str] | tuple[str, ...],
     scanned: list[_Scan] = []
     last_top_close: int | None = None
 
-    for i, tag in tag_events(texts):
+    indices, tags = tag_scan(texts) if events is None else events
+    for i, tag in zip(indices, tags):
         top = stack[-1] if stack else None
         if tag is GUIDELINE_OPEN:
             if top is None or top.state == "step":

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -450,3 +451,36 @@ def test_event_logs_match_golden_digest():
             digest.update(b"--\n")
     assert {"flush", "truncate"} <= kinds
     assert digest.hexdigest() == GOLDEN_EVENT_DIGEST
+
+
+def line_events(fn) -> int:
+    """Python line events while ``fn()`` runs: a work count that no clock perturbs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_rounds_do_work_linear_in_the_branches_left_active():
+    """One n-token branch beside n two-token ones: each round filters the
+    previous round's active branches, so 4x the input costs about 4x the work,
+    where rebuilding the active list from the whole group costs about 8.6x."""
+    def work(n):
+        policy = ScriptedPolicy(
+            ["<guideline>", "<plan>", "p", "</plan>", "</guideline>"],
+            {"long": ["<step>"] + ["w"] * (n - 2) + ["</step>"],
+             **{f"s{j}": ["<step>", "</step>"] for j in range(n)}},
+            ["<takeaway>", "t", "</takeaway>", "\\boxed{1}"])
+        return line_events(lambda: run_generation(policy, *fresh(8 * n, 8 * n)))
+
+    assert work(800) <= 5 * work(200)

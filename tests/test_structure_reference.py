@@ -24,7 +24,7 @@ from paratrace import (AttentionMask, ParseError, StructureError, Token, build_a
                        parse_document, random_valid_document, serialize, tokenize,
                        topology_stats, validate_structure)
 from paratrace.engine import _validate_header
-from paratrace.tags import TAG_STRINGS
+from paratrace.tags import TAG_STRINGS, tag_scan
 from reference_structure import (ref_attention_mask, ref_position_ids, ref_tokenize,
                                  ref_topology_stats, ref_validate_header,
                                  ref_validate_structure)
@@ -103,7 +103,9 @@ def test_validator_matches_reference(tokens):
     """The rule-table validator gives the hand-coded one's report, violation
     for violation and in order, in both modes."""
     for strict in (False, True):
-        assert validate_structure(tokens, strict) == ref_validate_structure(tokens, strict)
+        want = ref_validate_structure(tokens, strict)
+        assert validate_structure(tokens, strict) == want
+        assert validate_structure(tokens, strict, events=tag_scan(tokens)) == want
 
 
 def header(plans: int, edits) -> list[str]:
@@ -153,6 +155,8 @@ def test_tokenize_matches_regex_split(pieces):
     assert all(type(t) is Token for t in tokens)
     assert [t.text for t in tokens] == ref_tokenize(text)
     assert [t.is_tag for t in tokens] == [t in TAG_STRINGS for t in tokens]
+    # One shared Token per distinct text.
+    assert len({id(t) for t in tokens}) == len(set(tokens))
 
 
 @settings(max_examples=200, deadline=None)

@@ -211,3 +211,22 @@ class TestJointInvariants:
     def test_nested_fixture(self, e1):
         nested = e1[:11] + list(E1) + e1[11:]
         assert_topology_invariants(nested)
+
+
+class CountingList(list):
+    """A token list that counts the passes made over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("builder", [build_attention_mask, build_position_ids,
+                                     topology_stats])
+def test_builder_scans_its_tokens_once(builder, e1):
+    """The validator gate and the walk read one shared tag scan."""
+    tokens = CountingList(e1)
+    builder(tokens)
+    assert tokens.iterations == 1
