@@ -1,18 +1,19 @@
 """Reference-counted radix cache with a hard slot budget.
 
 The tree stores one token per node (one slot per cached token). Callers
-acquire leases: a lease pins every node on its path with a reference count
-and must be released exactly once. Slots are reclaimed only under pressure:
-when an insertion would overflow the budget, all unreferenced nodes are
-evicted, children before parents, before the insertion is retried. Live
-(referenced) nodes are never evicted; if the retry still does not fit, the
-operation fails atomically with :class:`BudgetExceeded`.
+acquire leases: a lease pins only its tip node with one reference and must
+be released exactly once. Slots are reclaimed only under pressure: when an
+insertion would overflow the budget, every unreferenced node with no
+children is evicted, children before parents, before the insertion is
+retried. A pinned tip therefore keeps every one of its ancestors, so no
+operation walks a lease's path: growing a lease with
+:meth:`RadixCache.extend` moves its pin one node down, and releasing it
+unpins one node, each in O(1).
 
-Because a live lease already pins its own path, growing it with
-:meth:`RadixCache.extend` needs no extra protection during a flush: every
-token costs O(1). Only :meth:`RadixCache.match_and_insert` pins its matched
-path for the flush, since that path is not referenced yet. A lease's path is
-walked once, when it is released.
+If the retry still does not fit, the operation raises
+:class:`BudgetExceeded` after the flush: no slot is inserted, no lease is
+made or grown, and live nodes are untouched, but unreferenced nodes may
+already have been evicted and the flush is counted.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class _Node:
 
 
 class CacheLease:
-    """A pinned path in the cache; release exactly once."""
+    """A path in the cache, pinned at its tip; release exactly once."""
 
     __slots__ = ("matched", "new_slots", "_tip", "_length", "released")
 
@@ -53,65 +54,66 @@ class RadixCache:
         self.budget = budget
         self.usage = 0
         self.flush_count = 0
+        self._live_leases = 0
         self._root = _Node(None, None)
 
     # -- queries ---------------------------------------------------------
 
     def match_prefix(self, tokens) -> int:
         """Length of the longest stored prefix of ``tokens``. No mutation."""
-        return len(self._descend(tokens)[1])
+        return self._descend(tokens)[1]
 
-    def _descend(self, tokens) -> tuple[_Node, list[_Node]]:
-        """The deepest stored node along ``tokens`` and the path down to it."""
+    def _descend(self, tokens) -> tuple[_Node, int]:
+        """The deepest stored node along ``tokens`` and its depth."""
         node = self._root
-        path: list[_Node] = []
+        depth = 0
         for tok in tokens:
             child = node.children.get(tok)
             if child is None:
                 break
             node = child
-            path.append(child)
-        return node, path
+            depth += 1
+        return node, depth
 
     # -- leases ----------------------------------------------------------
 
     def match_and_insert(self, tokens) -> CacheLease:
         """Pin ``tokens`` in the cache, inserting the unmatched suffix.
 
-        Reference counts along the whole path are incremented. If the suffix
-        does not fit, unreferenced nodes are flushed first; if it still does
-        not fit, raises :class:`BudgetExceeded` with the cache unchanged.
+        The new lease pins its tip. If the suffix does not fit, unreferenced
+        nodes are flushed first, sparing the matched prefix; if it still does
+        not fit, raises :class:`BudgetExceeded`, inserting nothing and making
+        no lease.
         """
         tokens = list(tokens)
-        node, path = self._descend(tokens)
-        matched = len(path)
+        node, matched = self._descend(tokens)
         need = len(tokens) - matched
-        self._reserve(need, protect=path)
+        self._reserve(need, protect=node)
         for tok in tokens[matched:]:
             child = _Node(tok, node)
             node.children[tok] = child
             node = child
-            path.append(child)
         self.usage += need
-        for n in path:
-            n.ref_count += 1
-        return CacheLease(node, len(path), matched, need)
+        node.ref_count += 1
+        self._live_leases += 1
+        return CacheLease(node, len(tokens), matched, need)
 
     def extend(self, lease: CacheLease, token: str) -> int:
         """Grow a lease by one token; returns newly occupied slots (0 or 1)."""
         if lease.released:
             raise DoubleRelease("cannot extend a released lease")
-        node = lease._tip if lease._length else self._root
+        node = lease._tip
         child = node.children.get(token)
         if child is None:
             if self.usage >= self.budget:
-                self._reserve(1, protect=())
+                self._reserve(1, protect=node)
             child = _Node(token, node)
             node.children[token] = child
             self.usage += 1
             added = 1
         else:
             added = 0
+        node.ref_count -= 1
         child.ref_count += 1
         lease._tip = child
         lease._length += 1
@@ -119,15 +121,11 @@ class RadixCache:
         return added
 
     def release(self, lease: CacheLease) -> None:
-        """Unpin a lease's path. A second release raises :class:`DoubleRelease`."""
+        """Unpin a lease's tip. A second release raises :class:`DoubleRelease`."""
         if lease.released:
             raise DoubleRelease("lease already released")
-        path = self._lease_path(lease)
-        for node in path:
-            if node.ref_count <= 0:
-                raise DoubleRelease("reference count underflow")
-        for node in path:
-            node.ref_count -= 1
+        lease._tip.ref_count -= 1
+        self._live_leases -= 1
         lease.released = True
 
     # -- reclamation -----------------------------------------------------
@@ -147,49 +145,37 @@ class RadixCache:
         self.usage -= freed
         return freed
 
-    def _reserve(self, need: int, protect) -> None:
+    def _reserve(self, need: int, protect: _Node) -> None:
         if need <= self.budget - self.usage:
             return
-        # Pin the caller's path for the duration of the flush: it is about
-        # to become live, so it must not be reclaimed.
-        for node in protect:
-            node.ref_count += 1
+        # Pin the node the caller is about to grow from for the duration of
+        # the flush; pinning it keeps its ancestors too.
+        protect.ref_count += 1
         try:
             self.flush_count += 1
             self.flush()
         finally:
-            for node in protect:
-                node.ref_count -= 1
+            protect.ref_count -= 1
         if need > self.budget - self.usage:
             live = self.usage
             raise BudgetExceeded(
                 f"need {need} slots but only {self.budget - live} of "
                 f"{self.budget} free after flush ({live} live)")
 
-    def _lease_path(self, lease: CacheLease) -> list[_Node]:
-        path: list[_Node] = []
-        node = lease._tip
-        for _ in range(lease._length):
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        return path
-
     # -- integrity (a debugging aid for tests; the CLI never calls it) ----
 
     def check_integrity(self) -> None:
-        count = 0
+        count = pins = 0
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if node is not self._root:
-                count += 1
-                if node.ref_count < 0:
-                    raise AssertionError("negative reference count")
-                if node.parent is not None and node.parent is not self._root:
-                    if node.parent.ref_count < node.ref_count:
-                        raise AssertionError("parent pinned less than child")
+            if node.ref_count < 0:
+                raise AssertionError("negative reference count")
+            pins += node.ref_count
             stack.extend(node.children.values())
+            count += len(node.children)
+        if pins != self._live_leases:
+            raise AssertionError(f"{pins} pins != {self._live_leases} live leases")
         if count != self.usage:
             raise AssertionError(f"usage {self.usage} != node count {count}")
         if self.usage > self.budget:

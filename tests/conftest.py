@@ -1,8 +1,10 @@
-"""Shared fixtures: the 18-token reference document and corpus helpers."""
+"""Shared fixtures: the 18-token reference document, corpus helpers and a
+line-event work counter."""
 
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -122,3 +124,21 @@ def assert_topology_invariants(tokens) -> None:
         assert pos.max() < n - 1
     else:
         assert pos.max() == n - 1
+
+
+def line_events(fn) -> int:
+    """Python line events while ``fn()`` runs: a work count that no clock perturbs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count

@@ -2,16 +2,17 @@
 
 These are the earlier scalar forms: a clipped surrogate and a frozen-reference
 surrogate that call ``np.exp`` one token at a time, summing in token order,
-and a cache flush that walks the tree in post-order with an explicit stack
-of ``(node, expanded)`` pairs. They are slow but plainly correct, and share
-no code with :mod:`paratrace.advantages` or :meth:`paratrace.RadixCache.flush`.
+a cache flush that walks the tree in post-order with an explicit stack of
+``(node, expanded)`` pairs, and a radix cache whose leases pin every node on
+their path. They are slow but plainly correct, and share no code with
+:mod:`paratrace.advantages` or :mod:`paratrace.cache`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from paratrace import RadixCache
+from paratrace import BudgetExceeded, DoubleRelease, RadixCache
 
 
 def ref_dapo_surrogate(old_logprobs, new_logprobs, advantages,
@@ -71,3 +72,135 @@ def ref_flush(cache: RadixCache) -> int:
                 freed += 1
     cache.usage -= freed
     return freed
+
+
+class _PathNode:
+    __slots__ = ("token", "parent", "children", "ref_count")
+
+    def __init__(self, token, parent):
+        self.token = token
+        self.parent = parent
+        self.children: dict[str, _PathNode] = {}
+        self.ref_count = 0
+
+
+class PathLease:
+    __slots__ = ("matched", "new_slots", "tip", "length", "released")
+
+    def __init__(self, tip: _PathNode, length: int, matched: int, new_slots: int):
+        self.tip = tip
+        self.length = length
+        self.matched = matched
+        self.new_slots = new_slots
+        self.released = False
+
+    def __len__(self) -> int:
+        return self.length
+
+
+class PathPinningCache:
+    """The radix cache with a reference on every node of each live lease's
+    path: insert and release walk the path, and a flush spares the whole
+    matched path explicitly. Same public contract as
+    :class:`paratrace.RadixCache`."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.usage = 0
+        self.flush_count = 0
+        self._root = _PathNode(None, None)
+
+    def match_prefix(self, tokens) -> int:
+        return len(self._descend(tokens)[1])
+
+    def _descend(self, tokens):
+        node, path = self._root, []
+        for tok in tokens:
+            child = node.children.get(tok)
+            if child is None:
+                break
+            node = child
+            path.append(child)
+        return node, path
+
+    def match_and_insert(self, tokens) -> PathLease:
+        tokens = list(tokens)
+        node, path = self._descend(tokens)
+        matched = len(path)
+        need = len(tokens) - matched
+        self._reserve(need, protect=path)
+        for tok in tokens[matched:]:
+            child = _PathNode(tok, node)
+            node.children[tok] = child
+            node = child
+            path.append(child)
+        self.usage += need
+        for n in path:
+            n.ref_count += 1
+        return PathLease(node, len(path), matched, need)
+
+    def extend(self, lease: PathLease, token: str) -> int:
+        if lease.released:
+            raise DoubleRelease("cannot extend a released lease")
+        node = lease.tip if lease.length else self._root
+        child = node.children.get(token)
+        added = 0
+        if child is None:
+            self._reserve(1, protect=())
+            child = _PathNode(token, node)
+            node.children[token] = child
+            self.usage += 1
+            added = 1
+        child.ref_count += 1
+        lease.tip = child
+        lease.length += 1
+        lease.new_slots += added
+        return added
+
+    def release(self, lease: PathLease) -> None:
+        if lease.released:
+            raise DoubleRelease("lease already released")
+        path = self._lease_path(lease)
+        for node in path:
+            if node.ref_count <= 0:
+                raise DoubleRelease("reference count underflow")
+        for node in path:
+            node.ref_count -= 1
+        lease.released = True
+
+    def flush(self) -> int:
+        return ref_flush(self)
+
+    def _reserve(self, need: int, protect) -> None:
+        if need <= self.budget - self.usage:
+            return
+        for node in protect:
+            node.ref_count += 1
+        self.flush_count += 1
+        self.flush()
+        for node in protect:
+            node.ref_count -= 1
+        if need > self.budget - self.usage:
+            raise BudgetExceeded(f"need {need} slots after flush")
+
+    def _lease_path(self, lease: PathLease) -> list[_PathNode]:
+        path, node = [], lease.tip
+        for _ in range(lease.length):
+            path.append(node)
+            node = node.parent
+        return path[::-1]
+
+    def check_integrity(self) -> None:
+        """Each node is pinned at least as often as any child: every lease
+        through a child also passes through its parent."""
+        count, stack = 0, list(self._root.children.values())
+        while stack:
+            node = stack.pop()
+            count += 1
+            if node.ref_count < 0:
+                raise AssertionError("negative reference count")
+            if node.parent is not self._root and node.parent.ref_count < node.ref_count:
+                raise AssertionError("parent pinned less than child")
+            stack.extend(node.children.values())
+        if count != self.usage or self.usage > self.budget:
+            raise AssertionError(f"usage {self.usage}, {count} nodes, budget {self.budget}")

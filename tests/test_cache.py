@@ -3,6 +3,7 @@
 import pytest
 
 from paratrace import BudgetExceeded, DoubleRelease, RadixCache
+from conftest import line_events
 
 
 class TestMatchAndInsert:
@@ -53,15 +54,24 @@ class TestMatchAndInsert:
         assert cache.flush_count == 0
 
     def test_budget_exceeded_is_atomic(self):
-        cache = RadixCache(budget=4)
-        live = cache.match_and_insert(["a", "b", "c"])
-        with pytest.raises(BudgetExceeded):
-            cache.match_and_insert(["x", "y", "z"])
-        assert cache.usage == 3
-        assert cache.match_prefix(["a", "b", "c"]) == 3
-        assert cache.match_prefix(["x"]) == 0
-        cache.check_integrity()
-        cache.release(live)
+        """A refused insert adds no slot, makes no lease and leaves live nodes
+        alone. The flush before the refusal still counts, and may already
+        have evicted released nodes."""
+        for dead, live, refused in [([], ["a", "b", "c"], ["x", "y", "z"]),
+                                    (["x", "y"], ["a"], ["p", "q", "r", "s"])]:
+            cache = RadixCache(budget=4)
+            cache.release(cache.match_and_insert(dead))
+            held = cache.match_and_insert(live)
+            with pytest.raises(BudgetExceeded):
+                cache.match_and_insert(refused)
+            assert cache.usage == len(live)
+            assert cache.flush_count == 1
+            assert cache.match_prefix(live) == len(live)
+            assert cache.match_prefix(refused) == 0
+            assert cache.match_prefix(["x"]) == 0
+            cache.check_integrity()
+            cache.release(held)
+            cache.check_integrity()
 
     def test_flush_never_evicts_live(self):
         cache = RadixCache(budget=5)
@@ -194,22 +204,34 @@ class TestLongLease:
         cache.release(lease)
         cache.check_integrity()
 
-    def test_extend_never_walks_the_lease_path(self, monkeypatch):
-        calls = []
-        walk = RadixCache._lease_path
+    def test_extend_never_walks_the_lease_path(self):
+        """A lease pins only its tip: growing or releasing a 10,000-token
+        lease runs exactly the lines it does for a 10-token one."""
+        def work(n):
+            cache = RadixCache(budget=n + 1)
+            lease = cache.match_and_insert([f"t{i}" for i in range(n)])
+            extend = line_events(lambda: cache.extend(lease, "next"))
+            release = line_events(lambda: cache.release(lease))
+            assert cache.flush_count == 0
+            cache.check_integrity()
+            return extend, release
 
-        def counting(self, lease):
-            calls.append(len(lease))
-            return walk(self, lease)
+        assert work(10) == work(10_000)
 
-        monkeypatch.setattr(RadixCache, "_lease_path", counting)
-        n = 10_000
-        cache = RadixCache(budget=n + 1)
-        lease = cache.match_and_insert(["root"])
-        for i in range(n):
-            cache.extend(lease, f"t{i}")
-        assert cache.flush_count == 0
-        assert calls == [], "extend must not walk the lease path"
-        cache.release(lease)
-        assert calls == [n + 1], "release walks the path exactly once"
+
+class TestIntegrity:
+    """Every reference count is at least 0, and they sum to the live leases."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda cache, lease: setattr(lease._tip.parent, "ref_count", 1),
+        lambda cache, lease: setattr(lease._tip, "ref_count", 0),
+        lambda cache, lease: setattr(cache._root, "ref_count", -1),
+    ], ids=["extra-pin", "dropped-pin", "negative"])
+    def test_corrupt_pins_are_caught(self, corrupt):
+        cache = RadixCache(budget=10)
+        lease = cache.match_and_insert(["a", "b", "c"])
+        cache.match_and_insert([])
         cache.check_integrity()
+        corrupt(cache, lease)
+        with pytest.raises(AssertionError):
+            cache.check_integrity()

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from paratrace import (BranchState, BudgetExceeded, EmissionLogView, IllegalSche
                        schedule_confluence_check, topology_stats,
                        validate_structure)
 from paratrace.engine import SCHEDULES
-from conftest import E1
+from conftest import E1, line_events
 
 
 def e1_policy() -> ScriptedPolicy:
@@ -451,24 +450,6 @@ def test_event_logs_match_golden_digest():
             digest.update(b"--\n")
     assert {"flush", "truncate"} <= kinds
     assert digest.hexdigest() == GOLDEN_EVENT_DIGEST
-
-
-def line_events(fn) -> int:
-    """Python line events while ``fn()`` runs: a work count that no clock perturbs."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local)
-    try:
-        fn()
-    finally:
-        sys.settrace(previous)
-    return count
 
 
 def test_rounds_do_work_linear_in_the_branches_left_active():

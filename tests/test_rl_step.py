@@ -1,8 +1,8 @@
 """The RL step's fast paths against their references, and its record types.
 
-The array-form clipped and frozen-reference surrogates and the reverse
-breadth-first cache flush are compared with the scalar forms kept in
-``reference_rl.py``. The record
+The array-form clipped and frozen-reference surrogates, the reverse
+breadth-first cache flush and the cache's tip-only pins are compared with
+the forms kept in ``reference_rl.py``. The record
 types the engine and the ledger build once per token or per round keep
 their public contract whatever their implementation.
 """
@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratrace import (BudgetExceeded, GenerationEvent, IllegalSchema, LedgerEntry,
-                       RadixCache, ScriptedPolicy, TokenLedger, dapo_surrogate,
+from paratrace import (BudgetExceeded, DoubleRelease, GenerationEvent, IllegalSchema,
+                       LedgerEntry, RadixCache, ScriptedPolicy, TokenLedger, dapo_surrogate,
                        papo_surrogate, papo_surrogate_frozen, run_generation)
-from reference_rl import ref_dapo_surrogate, ref_flush, ref_papo_surrogate_frozen
+from reference_rl import (PathPinningCache, ref_dapo_surrogate, ref_flush,
+                          ref_papo_surrogate_frozen)
 
 # -- clipped surrogate ------------------------------------------------------
 
@@ -111,7 +112,7 @@ def test_papo_surrogate_frozen_matches_scalar_reference(case):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-# -- cache flush ------------------------------------------------------------
+# -- cache ------------------------------------------------------------------
 
 def tree_snapshot(cache: RadixCache) -> list[tuple[int, str, int]]:
     """(depth, token, ref_count) of every node in pre-order, children in
@@ -143,30 +144,34 @@ def pair(budget: int) -> tuple[RecordingCache, RecordingCache]:
     return RecordingCache(budget, RadixCache.flush), RecordingCache(budget, ref_flush)
 
 
-def apply(cache: RadixCache, leases: list, op):
-    """Run one operation; returns its result or the exception type it raised."""
+def apply(cache, live: list, spent: list, op):
+    """Run one operation on the ``live`` leases, or release a ``spent`` one
+    again; returns its result or the type of the exception it raised."""
     kind, arg, token = op
     try:
         if kind == "insert":
-            leases.append(cache.match_and_insert(arg))
-            return leases[-1].matched, leases[-1].new_slots
+            live.append(cache.match_and_insert(arg))
+            return live[-1].matched, live[-1].new_slots
         if kind == "flush":
             return cache.flush()
-        if not leases:
+        pool = spent if kind == "again" else live
+        if not pool:
             return None
-        lease = leases[arg % len(leases)]
+        lease = pool[arg % len(pool)]
         if kind == "extend":
             return cache.extend(lease, token)
-        leases.remove(lease)
+        if kind == "release":
+            live.remove(lease)
+            spent.append(lease)
         return cache.release(lease)
-    except BudgetExceeded:
-        return BudgetExceeded
+    except (BudgetExceeded, DoubleRelease) as exc:
+        return type(exc)
 
 
 TOKEN = st.sampled_from("abc")
 OP = st.one_of(
     st.tuples(st.just("insert"), st.lists(TOKEN, max_size=6), st.none()),
-    st.tuples(st.sampled_from(["extend", "extend", "release"]),
+    st.tuples(st.sampled_from(["extend", "extend", "release", "again"]),
               st.integers(0, 7), TOKEN),
     st.tuples(st.just("flush"), st.none(), st.none()))
 
@@ -175,13 +180,44 @@ OP = st.one_of(
 @given(st.integers(1, 12), st.lists(OP, max_size=60))
 def test_flush_matches_post_order_reference(budget, ops):
     fast, ref = pair(budget)
-    fast_leases, ref_leases = [], []
+    fast_leases, ref_leases = ([], []), ([], [])
     for op in ops:
-        assert apply(fast, fast_leases, op) == apply(ref, ref_leases, op), op
+        assert apply(fast, *fast_leases, op) == apply(ref, *ref_leases, op), op
         assert fast.flushes == ref.flushes
         assert (fast.usage, fast.flush_count) == (ref.usage, ref.flush_count)
         fast.check_integrity()
     assert tree_snapshot(fast) == tree_snapshot(ref)
+
+
+def pinned_paths(cache) -> set[tuple[str, ...]]:
+    """Token paths of the pinned nodes below the root."""
+    out = set()
+    stack = [(child, (child.token,)) for child in cache._root.children.values()]
+    while stack:
+        node, path = stack.pop()
+        if node.ref_count:
+            out.add(path)
+        stack.extend((child, path + (child.token,)) for child in node.children.values())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.lists(OP, max_size=60))
+def test_tip_pins_match_path_pinning_reference(budget, ops):
+    """A lease that pins only its tip behaves as one that pins its whole path:
+    the same results and refusals, the same flushes, the same tree, and the
+    reference pins exactly the ancestors-or-self of the pinned tips."""
+    fast, ref = RadixCache(budget), PathPinningCache(budget)
+    fast_leases, ref_leases = ([], []), ([], [])
+    for op in ops:
+        assert apply(fast, *fast_leases, op) == apply(ref, *ref_leases, op), op
+        assert (fast.usage, fast.flush_count) == (ref.usage, ref.flush_count)
+        assert ([node[:2] for node in tree_snapshot(fast)]
+                == [node[:2] for node in tree_snapshot(ref)])
+        covered = {tip[:k] for tip in pinned_paths(fast) for k in range(1, len(tip) + 1)}
+        assert pinned_paths(ref) == covered
+        fast.check_integrity()
+        ref.check_integrity()
 
 
 def test_flush_of_chain_deeper_than_recursion_limit():
