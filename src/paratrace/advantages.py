@@ -41,7 +41,7 @@ def dynamic_sampling_check(outcomes) -> bool:
 
     Accepts booleans or numeric rewards (positive means correct).
     """
-    flags = [bool(o) if isinstance(o, bool) else o > 0 for o in outcomes]
+    flags = [o > 0 for o in outcomes]
     correct = sum(flags)
     return 0 < correct < len(flags)
 
@@ -81,9 +81,6 @@ class AdvantageTable(NamedTuple):
     divisor: float
     epsilon: float
     degenerate: bool
-
-    def per_token(self, i: int) -> list[float]:
-        return [self.advantages[i]] * self.token_counts[i]
 
     def rows(self):
         for i, rid in enumerate(self.record_ids):

@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-new-tokens", type=int, default=4096)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--config", default=None, help="run-config JSON overriding flags")
-    p.set_defaults(fn=cmd_simulate, inputs=lambda a: [a.script])
+    p.set_defaults(fn=cmd_simulate,
+                   inputs=lambda a: [a.script] + ([a.config] if a.config else []))
 
     p = sub.add_parser("advantage", help="compute advantages over a rollout batch")
     p.add_argument("batch")

@@ -10,15 +10,11 @@ the text after the last block is the user-facing epilogue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import MisplacedTag, UnbalancedTag
 from .tags import (_TAG_SPLIT, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN,
                    STEP_CLOSE, STEP_OPEN, TAG_STRINGS, TAKEAWAY_CLOSE, TAKEAWAY_OPEN,
                    Token, tag_events)
-
-# Token() without its checks, which split parts always pass.
-_new_token = partial(str.__new__, Token)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -38,7 +34,7 @@ def tokenize(text: str) -> list[Token]:
     # One Token per distinct text: a token is an immutable str, so repeats
     # share it, and a trace allocates one object per word, not per token.
     distinct = dict.fromkeys(chunks)
-    return list(map(dict(zip(distinct, map(_new_token, distinct))).__getitem__, chunks))
+    return list(map(dict(zip(distinct, map(Token, distinct))).__getitem__, chunks))
 
 
 def serialize(tokens) -> str:
@@ -62,9 +58,6 @@ class Span:
 
     def __contains__(self, index: int) -> bool:
         return self.start <= index < self.end
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
 
 
 @dataclass
@@ -105,23 +98,6 @@ class ReasoningDoc:
 
     def texts(self) -> list[str]:
         return list(self.tokens)
-
-    def reconstruct_texts(self) -> list[str]:
-        """Rebuild the token texts from the span structure.
-
-        Walks top-level block extents and the gaps between them; equality
-        with ``texts()`` certifies the span bookkeeping.
-        """
-        out: list[str] = []
-        cursor = 0
-        texts = self.texts()
-        for block in self.blocks:
-            ext = block.extent
-            out.extend(texts[cursor:ext.start])
-            out.extend(texts[ext.start:ext.end])
-            cursor = ext.end
-        out.extend(texts[cursor:])
-        return out
 
 
 def extract_boxed(text: str) -> str | None:

@@ -61,9 +61,6 @@ class BranchState:
     status: str = "active"  # active | closed | truncated
     lease: CacheLease | None = None
 
-    def record(self, token: str) -> None:
-        self.emitted.append(token)
-
     @property
     def step_tokens(self) -> list[str]:
         """The repetition-penalty window: the tokens from the last step open on."""
@@ -327,11 +324,8 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
             return _finish(run, prologue)
 
         run._event("fork")
-        branches = []
-        for bid in policy.branch_ids:
-            lease = cache.match_and_insert(prologue)
-            run._note_flushes(bid)
-            branches.append(BranchState(bid, lease=lease))
+        branches = [BranchState(bid, lease=cache.match_and_insert(prologue))
+                    for bid in policy.branch_ids]
         try:
             _parallel_phase(run, branches)
             run._event("join")

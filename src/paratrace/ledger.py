@@ -30,10 +30,6 @@ class TokenLedger:
         return self.max_new_tokens - self.charged
 
     @property
-    def exhausted(self) -> bool:
-        return self.charged >= self.max_new_tokens
-
-    @property
     def timeline(self) -> tuple[LedgerEntry, ...]:
         return tuple(self._timeline)
 

@@ -1,4 +1,6 @@
-"""Evaluation metrics: avg@k, best@k, parallel trigger rate, speedup."""
+"""Evaluation metrics: avg@k, best@k and the parallel trigger rate.
+
+Speedup is ``topology_stats(...).compression_ratio``, not a metric here."""
 
 from __future__ import annotations
 

@@ -56,38 +56,14 @@ def tag_events(texts: list[str] | tuple[str, ...]):
 
 
 class Token(str):
-    """One unit of a trace: either a reserved tag or a content word.
+    """One unit of a trace, a reserved tag or a content word: its text.
 
-    A token is its text, so ``Token("a") == "a"`` and a token goes wherever a
-    ``str`` does. ``kind`` and ``tag_id`` are derived from the text; passing
-    them only checks that they agree with it.
+    ``Token("a") == "a"`` and a token goes wherever a ``str`` does; ask
+    :func:`tag_of` or :func:`is_tag` which tag, if any, it is.
     """
 
     __slots__ = ()
 
-    def __new__(cls, text: str, kind: str = "", tag_id: Tag | None = None):
-        if not text:
-            raise ValueError("token text must be non-empty")
-        tag = tag_of(text)
-        expected_kind = "tag" if tag is not None else "content"
-        if kind and kind != expected_kind:
-            raise ValueError(f"token {text!r} must have kind {expected_kind!r}")
-        if tag_id is not None and tag_id is not tag:
-            raise ValueError(f"token {text!r} carries wrong tag_id")
-        return str.__new__(cls, text)
-
     @property
     def text(self) -> str:
         return str.__str__(self)
-
-    @property
-    def tag_id(self) -> Tag | None:
-        return _TAG_BY_TEXT.get(self)
-
-    @property
-    def is_tag(self) -> bool:
-        return self in TAG_STRINGS
-
-    @property
-    def kind(self) -> str:
-        return "tag" if self in TAG_STRINGS else "content"

@@ -107,7 +107,11 @@ class TestPapoAdvantage:
                                record("b", "g1", 5, reward=-1.0)),))
         table = papo_advantage(batch)
         assert table.token_counts == (3, 5)
-        assert table.per_token(0) == [table.advantages[0]] * 3
+        # The surrogates broadcast each record's advantage over its tokens.
+        grads = papo_surrogate([r.logprobs for r in batch.groups[0]],
+                               table.advantages).sensitivities
+        assert grads == ((-table.advantages[0] / 8,) * 3,
+                         (-table.advantages[1] / 8,) * 5)
         rows = list(table.rows())
         assert rows[0]["id"] == "a" and rows[1]["num_tokens"] == 5
 

@@ -573,6 +573,16 @@ class TestManifest:
             manifests.append(json.dumps(data, sort_keys=True))
         assert manifests[0] == manifests[1]
 
+    def test_simulate_digests_its_run_config(self, tmp_path, script_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_new_tokens": 7}))
+        manifest = tmp_path / "manifest.json"
+        assert run_cli("--output-dir", tmp_path / "o", "--manifest", manifest,
+                       "simulate", script_file, "--config", cfg) == 0
+        inputs = json.loads(manifest.read_text())["inputs"]
+        assert [i["path"] for i in inputs] == [str(script_file), str(cfg)]
+        assert inputs[1]["sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
     def test_advantage_config_echo(self, tmp_path):
         batch = tmp_path / "batch.jsonl"
         write_jsonl(batch, [{"id": r, "group": "g", "tokens": E1_FULL,

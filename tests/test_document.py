@@ -5,7 +5,7 @@ import random
 import pytest
 
 from paratrace import (MisplacedTag, Span, Tag, Token, UnbalancedTag, extract_boxed,
-                       parse_document, serialize, tokenize)
+                       is_tag, parse_document, serialize, tag_of, tokenize)
 from conftest import E1, make_corpus
 
 
@@ -17,18 +17,18 @@ class TestTokenize:
         tokens = tokenize("<guideline> <plan> 1: try x </plan> </guideline>")
         assert [t.text for t in tokens] == [
             "<guideline>", "<plan>", "1:", "try", "x", "</plan>", "</guideline>"]
-        assert [i for i, t in enumerate(tokens) if t.is_tag] == [0, 1, 5, 6]
+        assert [i for i, t in enumerate(tokens) if is_tag(t)] == [0, 1, 5, 6]
 
     def test_boxed_payload_single_token(self):
         tokens = tokenize("\\boxed{106^\\circ}")
         assert len(tokens) == 1
-        assert tokens[0].kind == "content"
+        assert tag_of(tokens[0]) is None
         assert extract_boxed(tokens[0].text) == "106^\\circ"
 
     def test_glued_tags_split(self):
         tokens = tokenize("x</step><step>y")
         assert [t.text for t in tokens] == ["x", "</step>", "<step>", "y"]
-        assert [t.kind for t in tokens] == ["content", "tag", "tag", "content"]
+        assert [tag_of(t) for t in tokens] == [None, Tag.STEP_CLOSE, Tag.STEP_OPEN, None]
 
     def test_round_trip(self):
         rng = random.Random(5)
@@ -41,25 +41,12 @@ class TestTokenize:
 
 class TestToken:
     def test_kind_derived_from_text(self):
-        assert Token("<step>").kind == "tag"
-        assert Token("<step>").tag_id is not None
-        assert Token("step").kind == "content"
-        assert Token("step").tag_id is None
+        assert tag_of(Token("<step>")) is Tag.STEP_OPEN and is_tag(Token("<step>"))
+        assert tag_of(Token("step")) is None and not is_tag(Token("step"))
 
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            Token("")
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Token("<step>", kind="content")
-
-    def test_wrong_tag_id_rejected(self):
-        assert Token("<step>", kind="tag", tag_id=Tag.STEP_OPEN) == "<step>"
-        with pytest.raises(ValueError):
-            Token("<step>", tag_id=Tag.STEP_CLOSE)
-        with pytest.raises(ValueError):
-            Token("step", tag_id=Tag.STEP_OPEN)
+    def test_empty_text_is_a_token(self):
+        # A trace file may hold an empty token, so the type holds one too.
+        assert Token("") == "" and tag_of(Token("")) is None
 
     def test_token_is_its_text(self):
         token = Token("a")
@@ -161,11 +148,6 @@ class TestParse:
         assert len(doc.blocks) == 1
         assert len(doc.blocks[0].steps) == 2
 
-    def test_reconstruction_round_trip(self):
-        for tokens in make_corpus(50, seed=11, max_depth=2):
-            doc = parse_document(tokens)
-            assert doc.reconstruct_texts() == tokens
-
     def test_block_span_invariants_on_corpus(self):
         for tokens in make_corpus(50, seed=12, max_depth=2):
             doc = parse_document(tokens)
@@ -180,7 +162,6 @@ class TestParse:
                     assert step.start >= block.guideline_span.end
                     assert step.end <= block.takeaway_span.start
                 for a, b in zip(block.steps, block.steps[1:]):
-                    assert not a.overlaps(b)
                     assert a.end <= b.start, "steps must be ordered and disjoint"
 
 

@@ -103,6 +103,34 @@ class TestReplay:
         assert cache.usage <= prologue + b1 + b2 + tail
         assert cache.match_prefix(E1[:8]) == 8
 
+        # The main lease pins the whole prologue, so a branch lease matches
+        # all of it: it inserts nothing and never flushes, even when a second
+        # run finds the cache full of the first run's unreferenced nodes.
+        branch_leases = []
+
+        class RecordingCache(RadixCache):
+            def match_and_insert(self, tokens):
+                before = self.flush_count
+                lease = super().match_and_insert(tokens)
+                if tokens:
+                    branch_leases.append((lease.new_slots, self.flush_count - before))
+                return lease
+
+        def two_runs(budget):
+            cache = RecordingCache(budget)
+            try:
+                for _ in range(2):
+                    run_generation(e1_policy(), cache, TokenLedger(4096))
+            except BudgetExceeded:
+                return None
+            return cache.flush_count
+
+        flushes = [two_runs(b) for b in range(1, len(E1) + 1)]
+        smallest = next(i for i, f in enumerate(flushes) if f is not None)
+        sweep = flushes[smallest:]
+        assert None not in sweep and sweep[0] > 0 and sweep[-1] == 0
+        assert branch_leases and set(branch_leases) == {(0, 0)}
+
 
 class TestValidatorGate:
     def test_zero_plans_rejected(self):
@@ -274,9 +302,9 @@ class TestRepetitionPenalty:
     def test_branch_state_window_clears_per_step(self):
         branch = BranchState("1")
         for tok in ("<step>", "alpha", "</step>"):
-            branch.record(tok)
+            branch.emitted.append(tok)
         assert "alpha" in branch.step_tokens
-        branch.record("<step>")  # a new step opens: window resets
+        branch.emitted.append("<step>")  # a new step opens: window resets
         assert "alpha" not in branch.step_tokens
         out = apply_repetition_penalty({"alpha": 2.0}, branch, in_step=True)
         assert out["alpha"] == 2.0
@@ -284,10 +312,10 @@ class TestRepetitionPenalty:
     def test_branch_state_window_is_derived_from_emitted(self):
         branch = BranchState("1")
         for tok in ("a", "b"):
-            branch.record(tok)
+            branch.emitted.append(tok)
         assert branch.step_tokens == ["a", "b"]  # no step open yet: everything
         for tok in ("<step>", "a", "<step>", "c", "c"):
-            branch.record(tok)
+            branch.emitted.append(tok)
         assert branch.step_tokens == ["<step>", "c", "c"]
         assert branch.emitted == ["a", "b", "<step>", "a", "<step>", "c", "c"]
 

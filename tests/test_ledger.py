@@ -49,7 +49,7 @@ def test_single_branch_budget_five():
 def test_zero_budget():
     ledger = TokenLedger(0)
     assert ledger.charge(1) == 0
-    assert ledger.exhausted
+    assert ledger.remaining == 0
 
 
 def test_timeline_sums_to_charged():

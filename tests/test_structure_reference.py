@@ -154,7 +154,6 @@ def test_tokenize_matches_regex_split(pieces):
     assert tokens == ref_tokenize(text)
     assert all(type(t) is Token for t in tokens)
     assert [t.text for t in tokens] == ref_tokenize(text)
-    assert [t.is_tag for t in tokens] == [t in TAG_STRINGS for t in tokens]
     # One shared Token per distinct text.
     assert len({id(t) for t in tokens}) == len(set(tokens))
 
