@@ -19,6 +19,9 @@ from .rollouts import RolloutBatch
 
 # Divisors at or below this are treated as zero variance.
 EPSILON = 1e-6
+# The clipped surrogate's ratio band, [1 - CLIP_LOW, 1 + CLIP_HIGH]: DAPO's
+# clip-higher (Yu et al., arXiv:2503.14476), wider above to let rare tokens rise.
+CLIP_LOW, CLIP_HIGH = 0.2, 0.28
 
 
 class GroupAdvantage(NamedTuple):
@@ -79,7 +82,6 @@ class AdvantageTable(NamedTuple):
     token_counts: tuple[int, ...]
     group_means: tuple[float, ...]
     divisor: float
-    epsilon: float
     degenerate: bool
 
     def rows(self):
@@ -88,7 +90,7 @@ class AdvantageTable(NamedTuple):
                    "advantage": self.advantages[i],
                    "num_tokens": self.token_counts[i],
                    "group_mean": self.group_means[i],
-                   "divisor": self.divisor, "epsilon": self.epsilon}
+                   "divisor": self.divisor, "epsilon": EPSILON}
 
 
 def papo_advantage(batch: RolloutBatch) -> AdvantageTable:
@@ -104,7 +106,7 @@ def papo_advantage(batch: RolloutBatch) -> AdvantageTable:
             means.append(values.group_means[g])
     return AdvantageTable(tuple(record_ids), tuple(group_ids), tuple(advantages),
                           tuple(counts), tuple(means), values.divisor,
-                          EPSILON, values.degenerate)
+                          values.degenerate)
 
 
 def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:
@@ -139,9 +141,7 @@ def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:
 
 def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
                    new_logprobs: Sequence[Sequence[float]],
-                   advantages,
-                   eps_low: float = 0.2,
-                   eps_high: float = 0.28) -> float:
+                   advantages) -> float:
     """Clipped-ratio surrogate loss, token-normalized across the group.
 
     ``advantages`` may be one scalar per record (broadcast) or per-token
@@ -152,7 +152,7 @@ def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
     acc = 0.0
     for old, new, a in zip(old_logprobs, new_logprobs, rows):
         ratio = np.exp(np.subtract(new, old, dtype=np.float64))
-        clipped = np.minimum(np.maximum(ratio, 1.0 - eps_low), 1.0 + eps_high)
+        clipped = np.minimum(np.maximum(ratio, 1.0 - CLIP_LOW), 1.0 + CLIP_HIGH)
         acc += float(np.minimum(ratio * a, clipped * a).sum())
     return -acc / total_tokens
 

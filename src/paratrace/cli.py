@@ -219,8 +219,13 @@ def cmd_reward(args):
 
 def cmd_filter(args):
     docs = read_trace(args.trace)
-    gold_by_id = {row["id"]: row["gold"] for _, row in
-                  read_jsonl_numbered(args.answers, ANSWER)} if args.answers else {}
+    gold_by_id = {}
+    if args.answers:
+        for lineno, row in read_jsonl_numbered(args.answers, ANSWER):
+            if row["id"] in gold_by_id:
+                raise InputError(f"duplicate document id {row['id']!r}",
+                                 args.answers, lineno)
+            gold_by_id[row["id"]] = row["gold"]
     rows = []
     accepted_docs = []
     for lineno, doc in docs:

@@ -385,15 +385,15 @@ def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
                          stats=topology_stats(tokens), decode_steps=run.step)
 
 
-def schedule_confluence_check(policy: ScriptedPolicy, schedules=SCHEDULES) -> bool:
-    """True iff per-branch streams are identical under every schedule.
+def schedule_confluence_check(policy: ScriptedPolicy) -> bool:
+    """True iff per-branch streams are identical under every one of ``SCHEDULES``.
 
     Sibling steps are mutually masked, so a policy that only reads its own
     branch context must be insensitive to interleaving; a differing stream
     flags a masking-contract violation.
     """
     reference: dict[str, list[str]] | None = None
-    for schedule in schedules:
+    for schedule in SCHEDULES:
         run = run_generation(policy, RadixCache(CONFLUENCE_BUDGET),
                              TokenLedger(CONFLUENCE_BUDGET), schedule=schedule)
         streams = run.branch_streams()

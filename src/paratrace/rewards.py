@@ -9,8 +9,6 @@ answer-correct and format-valid.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .validation import CATEGORIES_TOTAL, ValidationReport, validate_structure
 
 PENALTY_SCALE = 2.0
@@ -19,11 +17,8 @@ ACCURACY_INCORRECT = -1.0
 
 
 def exact_boxed_match(pred: str | None, gold: str) -> bool:
-    """Default answer comparator: exact string equality on the boxed payload."""
-    return pred is not None and pred == gold
-
-
-Comparator = Callable[[str | None, str], bool]
+    """The answer rule: exact string equality on the boxed payload."""
+    return pred == gold
 
 
 def format_reward(report: ValidationReport) -> float:
@@ -33,21 +28,18 @@ def format_reward(report: ValidationReport) -> float:
     return -PENALTY_SCALE * report.categories_failed / CATEGORIES_TOTAL
 
 
-def stage1_reward(report: ValidationReport, pred: str | None, gold: str, *,
-                  comparator: Comparator = exact_boxed_match) -> float:
+def stage1_reward(report: ValidationReport, pred: str | None, gold: str) -> float:
     """Format penalty when the check fails; otherwise accuracy on top of 0.0."""
     if not report.ok:
         return format_reward(report)
-    return stage3_reward(pred, gold, comparator=comparator)
+    return stage3_reward(pred, gold)
 
 
-def stage3_reward(pred: str | None, gold: str, *,
-                  comparator: Comparator = exact_boxed_match) -> float:
+def stage3_reward(pred: str | None, gold: str) -> float:
     """Accuracy-only reward for already schema-filtered trajectories."""
-    return ACCURACY_CORRECT if comparator(pred, gold) else ACCURACY_INCORRECT
+    return ACCURACY_CORRECT if exact_boxed_match(pred, gold) else ACCURACY_INCORRECT
 
 
-def accept_filter(tokens, pred: str | None, gold: str, *,
-                  comparator: Comparator = exact_boxed_match) -> bool:
+def accept_filter(tokens, pred: str | None, gold: str) -> bool:
     """Keep a trajectory iff it is answer-correct and format-valid."""
-    return bool(comparator(pred, gold)) and validate_structure(tokens).ok
+    return exact_boxed_match(pred, gold) and validate_structure(tokens).ok

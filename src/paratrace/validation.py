@@ -41,10 +41,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...]
-    categories_failed: int
-    categories_total: int = CATEGORIES_TOTAL
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def categories_failed(self) -> int:
+        return len(self.failed_categories())
 
     def failed_categories(self) -> frozenset[int]:
         return frozenset(v.category for v in self.violations)
@@ -54,8 +59,8 @@ class ValidationReport:
         return {
             "ok": self.ok,
             "categories": {name: cat not in failed for cat, name in CATEGORY_NAMES.items()},
-            "categories_failed": self.categories_failed,
-            "categories_total": self.categories_total,
+            "categories_failed": len(failed),
+            "categories_total": CATEGORIES_TOTAL,
             "violations": [
                 {"category": v.category, "index": v.index, "message": v.message}
                 for v in self.violations
@@ -160,9 +165,4 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
         flag(6, len(texts), "no boxed answer in the epilogue")
 
     violations.sort(key=lambda v: (v.index, v.category))
-    failed = {v.category for v in violations}
-    return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
-        categories_failed=len(failed),
-    )
+    return ValidationReport(tuple(violations))

@@ -16,7 +16,7 @@ from paratrace import BudgetExceeded, DoubleRelease, RadixCache
 
 
 def ref_dapo_surrogate(old_logprobs, new_logprobs, advantages,
-                       eps_low: float = 0.2, eps_high: float = 0.28) -> float:
+                       eps_low: float, eps_high: float) -> float:
     """Clipped-ratio surrogate, token-normalized, one token at a time."""
     if len(old_logprobs) != len(new_logprobs):
         raise ValueError("old/new streams differ in record count")

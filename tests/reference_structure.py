@@ -240,12 +240,7 @@ def ref_validate_structure(texts: list[str] | tuple[str, ...],
         flag(6, len(texts), "no boxed answer in the epilogue")
 
     violations.sort(key=lambda v: (v.index, v.category))
-    failed = {v.category for v in violations}
-    return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
-        categories_failed=len(failed),
-    )
+    return ValidationReport(tuple(violations))
 
 
 def ref_validate_header(prologue, n_branches: int, strict: bool) -> str | None:

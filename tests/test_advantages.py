@@ -129,12 +129,12 @@ class TestDapoSurrogate:
 
     def test_ratio_two_clips_high(self):
         old, new = [[0.0]], [[math.log(2.0)]]
-        loss = dapo_surrogate(old, new, [1.0], eps_low=0.2, eps_high=0.28)
+        loss = dapo_surrogate(old, new, [1.0])
         assert loss == pytest.approx(-1.28)
 
     def test_ratio_half_negative_advantage_clips_low(self):
         old, new = [[0.0]], [[math.log(0.5)]]
-        loss = dapo_surrogate(old, new, [-1.0], eps_low=0.2, eps_high=0.28)
+        loss = dapo_surrogate(old, new, [-1.0])
         assert loss == pytest.approx(0.8)
 
     def test_stream_validation(self):

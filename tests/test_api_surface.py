@@ -1,4 +1,6 @@
-"""Every public name of the package is used, or is library API on purpose."""
+"""Every public name of the package is used, or is library API on purpose,
+and every defaulted parameter of one is set by some caller, or is kept on
+purpose."""
 
 import ast
 from pathlib import Path
@@ -62,3 +64,64 @@ def test_every_public_name_is_used_or_library_api():
 def test_library_api_lists_only_unused_public_names():
     unused = _public_definitions() - _used_names()
     assert sorted(LIBRARY_API.keys() - unused) == []
+
+
+# Defaulted parameters of public functions and methods that no call under the
+# package or the benchmark sets, as ``name.parameter``, each with the reason
+# it stays.
+UNSET_DEFAULTS = {
+    "main.argv": "the CLI's argument list; the benchmark passes it to cli.main "
+                 "through an alias, and the console script passes none",
+}
+
+
+def _defaulted_parameters():
+    """``(name, positional parameters, defaulted parameters)`` of each public
+    function and method: a method's without its ``self`` or ``cls``, and an
+    ``__init__``'s under its class's name, as callers call them."""
+    for tree in _trees(PACKAGE):
+        defs = [(fn.name, fn.args, 0) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                defs += [(cls.name if fn.name == "__init__" else fn.name, fn.args, 1)
+                         for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for name, args, skip in defs:
+            if not name.startswith("_"):
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                yield name, positional[skip:], defaulted
+
+
+def _calls() -> dict[str, tuple[int, set[str]]]:
+    """``callee name -> (the most positional arguments one call passes, the
+    keywords any call passes)``, over the package and the benchmark."""
+    calls = {}
+    for tree in _trees(PACKAGE, PERFBENCH):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                most, keywords = calls.get(name, (0, set()))
+                calls[name] = (max(most, len(node.args)),
+                               keywords | {k.arg for k in node.keywords})
+    return calls
+
+
+def _unset_defaults() -> set[str]:
+    calls = _calls()
+    unset = set()
+    for name, positional, defaulted in _defaulted_parameters():
+        most, keywords = calls.get(name, (0, set()))
+        for param in defaulted:
+            by_position = param in positional and positional.index(param) < most
+            if not (by_position or param in keywords):
+                unset.add(f"{name}.{param}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A default that no caller overrides is a setting with one value in use:
+    it belongs in a constant. The allowlist holds exactly the exceptions."""
+    assert sorted(_unset_defaults()) == sorted(UNSET_DEFAULTS)

@@ -410,6 +410,19 @@ class TestRewardAndFilter:
         rows = read_jsonl(out / "filter_report.jsonl")
         assert rows[0]["accepted"] is True
 
+    def test_filter_refuses_a_repeated_answer_id(self, tmp_path, capsys):
+        """A second gold answer for one id is refused at its line, not
+        silently preferred over the first."""
+        trace = tmp_path / "t.jsonl"
+        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}])
+        answers = tmp_path / "answers.jsonl"
+        write_jsonl(answers, [{"id": "a", "gold": "42"}, {"id": "b", "gold": "1"},
+                              {"id": "a", "gold": "7"}])
+        out = tmp_path / "o"
+        assert run_cli("--output-dir", out, "filter", trace, "--answers", answers) == 2
+        assert f"{answers}:3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("row", ['{"id": "a"}', '{"gold": "42"}', '["a", "42"]',
                                      '"a"', "null", '{"id": "a", "gold": 42}',
                                      '{"id": 7, "gold": "42"}'])

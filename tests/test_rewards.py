@@ -13,8 +13,7 @@ def report_failing(n_categories: int):
     """A synthetic report with exactly n categories failed."""
     from paratrace.validation import ValidationReport, Violation
     violations = tuple(Violation(c, 0, "injected") for c in range(1, n_categories + 1))
-    return ValidationReport(ok=not violations, violations=violations,
-                            categories_failed=n_categories)
+    return ValidationReport(violations)
 
 
 class TestFormatReward:
@@ -61,15 +60,6 @@ class TestStage3:
     def test_comparator_reflexive_on_boxed_payload(self):
         assert stage3_reward("106^\\circ", "106^\\circ") == 1.0
 
-    def test_pluggable_comparator(self):
-        def numeric(p, g):
-            return p is not None and float(p) == float(g)
-        assert stage3_reward("1.50", "1.5", comparator=numeric) == 1.0
-        report = validate_structure(E1_FULL)
-        assert stage1_reward(report, "42.0", "42", comparator=numeric) == 1.0
-        assert accept_filter(E1_FULL, "42.0", "42", comparator=numeric) is True
-        assert accept_filter(E1_FULL, "42.0", "42") is False
-
 
 class TestAcceptFilter:
     def test_truth_table(self):
@@ -77,6 +67,7 @@ class TestAcceptFilter:
         invalid = E1_FULL[:-1]  # drops the boxed token
         assert accept_filter(valid, "42", gold) is True
         assert accept_filter(valid, "41", gold) is False
+        assert accept_filter(valid, "42.0", gold) is False  # exact, not numeric
         assert accept_filter(invalid, "42", gold) is False
         assert accept_filter(invalid, "41", gold) is False
 

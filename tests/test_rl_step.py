@@ -22,28 +22,25 @@ from hypothesis import strategies as st
 from paratrace import (BudgetExceeded, DoubleRelease, GenerationEvent, IllegalSchema,
                        LedgerEntry, RadixCache, ScriptedPolicy, TokenLedger, dapo_surrogate,
                        papo_surrogate, papo_surrogate_frozen, run_generation)
+from paratrace.advantages import CLIP_HIGH, CLIP_LOW
 from reference_rl import (PathPinningCache, ref_dapo_surrogate, ref_flush,
                           ref_papo_surrogate_frozen)
 
 # -- clipped surrogate ------------------------------------------------------
 
 ADVANTAGE = st.one_of(st.floats(-4, 4), st.just(0.0), st.sampled_from([0, 1, -1]))
+# Log-ratios that np.exp maps exactly onto the clip band's edges.
+LOW_DELTA, HIGH_DELTA = math.log(1.0 - CLIP_LOW), math.log(1.0 + CLIP_HIGH)
 
 
 @st.composite
 def surrogate_case(draw):
     """Records of 0..10 tokens, some exactly on a clip boundary, with
     per-record or per-token advantages."""
-    # Choose each boundary as a ratio np.exp reaches exactly, so that
-    # ``1 - eps_low`` and ``1 + eps_high`` are hit without rounding.
-    low_delta = math.log(draw(st.floats(0.5, 0.99)))
-    high_delta = math.log(draw(st.floats(1.01, 2.0)))
-    eps_low = 1.0 - float(np.exp(low_delta))
-    eps_high = float(np.exp(high_delta)) - 1.0
     token = st.one_of(
         st.tuples(st.floats(-5, 0), st.floats(-2, 2)),
-        st.just((0.0, low_delta)),
-        st.just((0.0, high_delta)))
+        st.just((0.0, LOW_DELTA)),
+        st.just((0.0, HIGH_DELTA)))
     records = draw(st.lists(st.lists(token, max_size=10), min_size=1, max_size=5)
                    .filter(lambda rs: any(rs)))
     old = [[o for o, _ in r] for r in records]
@@ -51,29 +48,26 @@ def surrogate_case(draw):
     advantages = [draw(st.one_of(ADVANTAGE, st.lists(ADVANTAGE, min_size=len(r),
                                                      max_size=len(r))))
                   for r in records]
-    return old, new, advantages, eps_low, eps_high
+    return old, new, advantages
 
 
 @settings(max_examples=400, deadline=None)
 @given(surrogate_case())
 def test_dapo_surrogate_matches_scalar_reference(case):
-    old, new, advantages, eps_low, eps_high = case
-    want = ref_dapo_surrogate(old, new, advantages, eps_low, eps_high)
-    got = dapo_surrogate(old, new, advantages, eps_low, eps_high)
+    old, new, advantages = case
+    want = ref_dapo_surrogate(old, new, advantages, CLIP_LOW, CLIP_HIGH)
+    got = dapo_surrogate(old, new, advantages)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_boundary_ratios_are_exact():
     """The strategy's boundary tokens sit exactly on the clip band's edges."""
-    low_delta, high_delta = math.log(0.8), math.log(1.28)
-    eps_low = 1.0 - float(np.exp(low_delta))
-    eps_high = float(np.exp(high_delta)) - 1.0
-    assert float(np.exp(low_delta - 0.0)) == 1.0 - eps_low
-    assert float(np.exp(high_delta - 0.0)) == 1.0 + eps_high
-    old, new = [[0.0, 0.0], []], [[low_delta, high_delta], []]
+    assert float(np.exp(LOW_DELTA - 0.0)) == 1.0 - CLIP_LOW == 0.8
+    assert float(np.exp(HIGH_DELTA - 0.0)) == 1.0 + CLIP_HIGH == 1.28
+    old, new = [[0.0, 0.0], []], [[LOW_DELTA, HIGH_DELTA], []]
     for adv in ([1.0, 2.0], [[-1.0, 1.0], []], [0.0, 0.0]):
-        assert dapo_surrogate(old, new, adv, eps_low, eps_high) == pytest.approx(
-            ref_dapo_surrogate(old, new, adv, eps_low, eps_high), rel=1e-12, abs=1e-12)
+        assert dapo_surrogate(old, new, adv) == pytest.approx(
+            ref_dapo_surrogate(old, new, adv, CLIP_LOW, CLIP_HIGH), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("old, new, advantages, message", [
@@ -94,7 +88,8 @@ def test_dapo_surrogate_refuses_what_the_reference_refuses(old, new, advantages,
                                                            message):
     """All three surrogates refuse what the scalar reference refuses.
     ``papo_surrogate`` reads one stream, so it runs where old and new agree."""
-    surrogates = [ref_dapo_surrogate, dapo_surrogate,
+    surrogates = [lambda o, n, a: ref_dapo_surrogate(o, n, a, CLIP_LOW, CLIP_HIGH),
+                  dapo_surrogate,
                   lambda o, n, a: papo_surrogate_frozen(n, o, a)]
     if list(map(len, old)) == list(map(len, new)):
         surrogates.append(lambda o, n, a: papo_surrogate(n, a))
@@ -106,7 +101,7 @@ def test_dapo_surrogate_refuses_what_the_reference_refuses(old, new, advantages,
 @settings(max_examples=400, deadline=None)
 @given(surrogate_case())
 def test_papo_surrogate_frozen_matches_scalar_reference(case):
-    old, new, advantages, _, _ = case
+    old, new, advantages = case
     want = ref_papo_surrogate_frozen(new, old, advantages)
     got = papo_surrogate_frozen(new, old, advantages)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

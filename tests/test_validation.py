@@ -15,7 +15,7 @@ class TestCategories:
         report = validate_structure(e1_full)
         assert report.ok
         assert report.categories_failed == 0
-        assert report.categories_total == 6
+        assert report.to_json_dict()["categories_total"] == 6
 
     def test_missing_takeaway_close(self, e1_full):
         tokens = [t for t in e1_full if t != "</takeaway>"]
