@@ -29,7 +29,7 @@ from .metrics import avg_at_k, best_at_k, doc_is_parallel, parallel_rate
 from .rewards import (accept_filter, exact_boxed_match, format_reward, stage1_reward,
                       stage3_reward)
 from .rollouts import RolloutBatch, RolloutRecord
-from .tags import Tag, Token, is_tag, tag_of
+from .tags import TAGS, Token, is_tag
 from .topology import (AttentionMask, BlockStats, Rect, TopologyStats,
                        build_attention_mask, build_position_ids,
                        mask_from_spans_oracle, topology_stats)

@@ -221,7 +221,11 @@ def cmd_filter(args):
     docs = read_trace(args.trace)
     gold_by_id = {}
     if args.answers:
+        ids = {doc["id"] for _, doc in docs}
         for lineno, row in read_jsonl_numbered(args.answers, ANSWER):
+            if row["id"] not in ids:
+                raise InputError(f"answer for unknown document {row['id']!r}",
+                                 args.answers, lineno)
             if row["id"] in gold_by_id:
                 raise InputError(f"duplicate document id {row['id']!r}",
                                  args.answers, lineno)

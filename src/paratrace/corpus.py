@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass, field, fields
 
 from .document import parse_document
-from .tags import Tag
+from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
+                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN)
 
 
 MAX_DOC_TOKENS = 256
@@ -33,27 +34,27 @@ def _sample(rng: random.Random, weights: dict[int, float]) -> int:
 
 def _block(rng: random.Random, depth: int, max_depth: int,
            n_plans: int, n_steps: int, step_len) -> list[str]:
-    out = [Tag.GUIDELINE_OPEN.value]
+    out = [GUIDELINE_OPEN]
     for j in range(n_plans):
-        out += [Tag.PLAN_OPEN.value, f"{j + 1}:"]
+        out += [PLAN_OPEN, f"{j + 1}:"]
         out += _words(rng, rng.randint(1, 3))
-        out.append(Tag.PLAN_CLOSE.value)
-    out.append(Tag.GUIDELINE_CLOSE.value)
+        out.append(PLAN_CLOSE)
+    out.append(GUIDELINE_CLOSE)
 
     nest_at = rng.randrange(n_steps) if depth < max_depth and rng.random() < 0.3 else -1
     for j in range(n_steps):
-        out += [Tag.STEP_OPEN.value, f"{j + 1}:"]
+        out += [STEP_OPEN, f"{j + 1}:"]
         out += _words(rng, step_len())
         if j == nest_at:
             out += _block(rng, depth + 1, max_depth,
                           n_plans=rng.randint(1, 2), n_steps=2,
                           step_len=lambda: rng.randint(1, 4))
             out += _words(rng, rng.randint(0, 2))
-        out.append(Tag.STEP_CLOSE.value)
+        out.append(STEP_CLOSE)
 
-    out.append(Tag.TAKEAWAY_OPEN.value)
+    out.append(TAKEAWAY_OPEN)
     out += _words(rng, rng.randint(1, 3))
-    out.append(Tag.TAKEAWAY_CLOSE.value)
+    out.append(TAKEAWAY_CLOSE)
     return out
 
 
@@ -100,7 +101,7 @@ def corrupt(tokens: list[str], category: int, rng: random.Random) -> list[str]:
     doc = parse_document(tokens)
     block = doc.blocks[0]
     if category == 1:
-        at = next(i for i, t in enumerate(tokens) if t == Tag.STEP_CLOSE.value)
+        at = next(i for i, t in enumerate(tokens) if t == STEP_CLOSE)
         return tokens[:at] + tokens[at + 1:]
     if category == 2:
         return _delete_spans(tokens, block.plans)
@@ -112,7 +113,7 @@ def corrupt(tokens: list[str], category: int, rng: random.Random) -> list[str]:
         ts = doc.blocks[-1].takeaway_span
         return [t for i, t in enumerate(tokens) if i not in (ts.start, ts.end - 1)]
     if category == 5:
-        return tokens + [Tag.PLAN_CLOSE.value]
+        return tokens + [PLAN_CLOSE]
     if category == 6:
         return [t for t in tokens if not t.startswith("\\boxed{")]
     raise ValueError(f"unknown category {category}")

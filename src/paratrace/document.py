@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import MisplacedTag, UnbalancedTag
-from .tags import (_TAG_SPLIT, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN,
-                   STEP_CLOSE, STEP_OPEN, TAG_STRINGS, TAKEAWAY_CLOSE, TAKEAWAY_OPEN,
-                   Token, tag_events)
+from .tags import (_TAG_BY_TEXT, _TAG_SPLIT, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE,
+                   PLAN_OPEN, STEP_CLOSE, STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, Token,
+                   tag_events)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -27,7 +27,7 @@ def tokenize(text: str) -> list[Token]:
     chunks = text.split()
     # Every tag holds one "<"; if each "<" sits in a chunk that is exactly a
     # tag, no tag is glued to other text and every chunk is one token.
-    if text.count("<") != sum(map(TAG_STRINGS.__contains__, chunks)):
+    if text.count("<") != sum(map(_TAG_BY_TEXT.__contains__, chunks)):
         chunks = [part for chunk in chunks
                   for part in (_TAG_SPLIT.split(chunk) if "<" in chunk else (chunk,))
                   if part]

@@ -34,13 +34,9 @@ SCHEDULES = ("round_robin", "reverse_round_robin", "branch_major")
 REPETITION_PENALTY = 1.02  # the paper's in-step repetition penalty
 CONFLUENCE_BUDGET = 1 << 16  # cache slots and new tokens per confluence run
 
-# Plain ``str`` texts: emitted tokens must not be Tag members, whose
-# f-string form on Python 3.11 is the member name, not the tag.
-_STEP_OPEN, _STEP_CLOSE, _TAKEAWAY_OPEN, _TAKEAWAY_CLOSE = (
-    STEP_OPEN.value, STEP_CLOSE.value, TAKEAWAY_OPEN.value, TAKEAWAY_CLOSE.value)
 # The token that closes each opening tag.
-_CLOSER = {GUIDELINE_OPEN: GUIDELINE_CLOSE.value, PLAN_OPEN: PLAN_CLOSE.value,
-           STEP_OPEN: _STEP_CLOSE, TAKEAWAY_OPEN: _TAKEAWAY_CLOSE}
+_CLOSER = {GUIDELINE_OPEN: GUIDELINE_CLOSE, PLAN_OPEN: PLAN_CLOSE,
+           STEP_OPEN: STEP_CLOSE, TAKEAWAY_OPEN: TAKEAWAY_CLOSE}
 
 
 class GenerationEvent(NamedTuple):
@@ -65,9 +61,9 @@ class BranchState:
     def step_tokens(self) -> list[str]:
         """The repetition-penalty window: the tokens from the last step open on."""
         emitted = self.emitted
-        if _STEP_OPEN not in emitted:
+        if STEP_OPEN not in emitted:
             return emitted[:]
-        return emitted[len(emitted) - 1 - emitted[::-1].index(_STEP_OPEN):]
+        return emitted[len(emitted) - 1 - emitted[::-1].index(STEP_OPEN):]
 
 
 class EmissionLogView(Sequence):
@@ -120,14 +116,14 @@ class ScriptedPolicy:
         if not self.branches:
             raise ValueError("script declares no branches")
         for bid, stream in self.branches.items():
-            if not stream or stream[0] != _STEP_OPEN or stream[-1] != _STEP_CLOSE:
+            if not stream or stream[0] != STEP_OPEN or stream[-1] != STEP_CLOSE:
                 raise ValueError(f"branch {bid!r} must span one step region")
             if any(map(is_tag, stream[1:-1])):
                 raise ValueError(f"branch {bid!r} may contain content tokens only")
         tail = self.takeaway
-        if not tail or tail[0] != _TAKEAWAY_OPEN or _TAKEAWAY_CLOSE not in tail:
+        if not tail or tail[0] != TAKEAWAY_OPEN or TAKEAWAY_CLOSE not in tail:
             raise ValueError("tail must open and close a takeaway")
-        close_at = tail.index(_TAKEAWAY_CLOSE)
+        close_at = tail.index(TAKEAWAY_CLOSE)
         if any(map(is_tag, tail[1:close_at] + tail[close_at + 1:])):
             raise ValueError("tail may contain content tokens only")
 
@@ -279,8 +275,8 @@ class _Run:
             else:
                 closes.pop()
         closes.reverse()
-        if branch is None and _TAKEAWAY_OPEN not in out:
-            closes += (_TAKEAWAY_OPEN, _TAKEAWAY_CLOSE)
+        if branch is None and TAKEAWAY_OPEN not in out:
+            closes += (TAKEAWAY_OPEN, TAKEAWAY_CLOSE)
         if not closes:
             self._event("truncate", branch=branch)
         for token in closes:
@@ -375,7 +371,7 @@ def _advance(run: _Run, branch: BranchState, funded: bool) -> None:
         raise ValueError(f"policy returned no token for active branch "
                          f"{branch.branch_id!r}")
     run.emit(branch.emitted, token, branch.lease, branch.branch_id)
-    if token == _STEP_CLOSE:
+    if token == STEP_CLOSE:
         branch.status = "closed"
 
 

@@ -1,51 +1,42 @@
-"""Tag vocabulary and the token model for parallel-reasoning markup."""
+"""The tag vocabulary and the token model for parallel-reasoning markup.
+
+A tag is its text: the eight reserved tags are plain ``str`` constants,
+listed open then close in :data:`TAGS`, and :func:`is_tag` says whether a
+token is one.
+"""
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 from itertools import compress
 
+GUIDELINE_OPEN, GUIDELINE_CLOSE = "<guideline>", "</guideline>"
+PLAN_OPEN, PLAN_CLOSE = "<plan>", "</plan>"
+STEP_OPEN, STEP_CLOSE = "<step>", "</step>"
+TAKEAWAY_OPEN, TAKEAWAY_CLOSE = "<takeaway>", "</takeaway>"
+TAGS = (GUIDELINE_OPEN, GUIDELINE_CLOSE, PLAN_OPEN, PLAN_CLOSE,
+        STEP_OPEN, STEP_CLOSE, TAKEAWAY_OPEN, TAKEAWAY_CLOSE)
 
-class Tag(str, Enum):
-    GUIDELINE_OPEN = "<guideline>"
-    GUIDELINE_CLOSE = "</guideline>"
-    PLAN_OPEN = "<plan>"
-    PLAN_CLOSE = "</plan>"
-    STEP_OPEN = "<step>"
-    STEP_CLOSE = "</step>"
-    TAKEAWAY_OPEN = "<takeaway>"
-    TAKEAWAY_CLOSE = "</takeaway>"
-
-
-# Module-level members: on Python 3.11 a ``Tag.X`` lookup goes through
-# EnumType's __getattr__ hook (~150 ns), and structure passes test several per tag.
-(GUIDELINE_OPEN, GUIDELINE_CLOSE, PLAN_OPEN, PLAN_CLOSE,
- STEP_OPEN, STEP_CLOSE, TAKEAWAY_OPEN, TAKEAWAY_CLOSE) = Tag
-
-TAG_STRINGS = frozenset(t.value for t in Tag)
-_TAG_BY_TEXT = {t.value: t for t in Tag}
+# Each tag's text to its ``TAGS`` object, so scanned tags compare with ``is``.
+_TAG_BY_TEXT = {t: t for t in TAGS}
 
 # Splits a whitespace-free chunk around embedded tag strings.
-_TAG_SPLIT = re.compile("(" + "|".join(re.escape(t.value) for t in Tag) + ")")
-
-
-def tag_of(text: str) -> Tag | None:
-    """Return the tag for ``text``, or None for content."""
-    return _TAG_BY_TEXT.get(text)
+_TAG_SPLIT = re.compile("(" + "|".join(map(re.escape, TAGS)) + ")")
 
 
 def is_tag(text: str) -> bool:
-    return text in TAG_STRINGS
+    return text in _TAG_BY_TEXT
 
 
-def tag_scan(texts: list[str] | tuple[str, ...]) -> tuple[list[int], list[Tag]]:
+def tag_scan(texts: list[str] | tuple[str, ...]) -> tuple[list[int], list[str]]:
     """The tag tokens of ``texts`` as two lists, their indices and their tags.
 
-    This is the one tag scan: it reads ``texts`` once, and content tokens cost
-    no Python-level step, as it runs in ``map``, ``compress`` and ``filter``.
-    ``zip`` the lists to read the ``(index, tag)`` events; two lists of ints
-    and enum members hold no per-tag tuple for the collector to track."""
+    Each tag is the ``TAGS`` object equal to its token, so callers test it
+    with ``is``. This is the one tag scan: it reads ``texts`` once, and
+    content tokens cost no Python-level step, as it runs in ``map``,
+    ``compress`` and ``filter``. ``zip`` the lists to read the
+    ``(index, tag)`` events; two lists of ints and shared strings hold no
+    per-tag tuple for the collector to track."""
     tags = list(map(_TAG_BY_TEXT.get, texts))
     return list(compress(range(len(tags)), tags)), list(filter(None, tags))
 
@@ -58,8 +49,9 @@ def tag_events(texts: list[str] | tuple[str, ...]):
 class Token(str):
     """One unit of a trace, a reserved tag or a content word: its text.
 
-    ``Token("a") == "a"`` and a token goes wherever a ``str`` does; ask
-    :func:`tag_of` or :func:`is_tag` which tag, if any, it is.
+    ``Token("a") == "a"`` and a token goes wherever a ``str`` does; a tag
+    token equals its constant in :data:`TAGS`, and :func:`is_tag` says
+    whether a token is a tag.
     """
 
     __slots__ = ()

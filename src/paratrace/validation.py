@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .document import extract_boxed
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
-                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, Tag, tag_scan)
+                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_scan)
 
 CATEGORY_NAMES = {
     1: "tag_balance",
@@ -97,7 +97,7 @@ class _Scan:
 
 
 def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False, *,
-                       events: tuple[list[int], list[Tag]] | None = None) -> ValidationReport:
+                       events: tuple[list[int], list[str]] | None = None) -> ValidationReport:
     """Evaluate the six structural categories over a trace.
 
     ``texts`` is a list or tuple of ``str`` (``Token`` included), read in
@@ -143,7 +143,7 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
         else:
             flag(1, i, message)
             if top is None:
-                flag(5, i, f"{tag.value.strip('</>')} tag outside block structure")
+                flag(5, i, f"{tag.strip('</>')} tag outside block structure")
 
     for frame in stack:
         at = frame.at if frame.state in ("plan", "step") else frame.start

@@ -1,12 +1,12 @@
 """Reference implementations of the structure layer, kept for cross-checks.
 
 These are the earlier streaming builders: one tag stack machine per result,
-each looking up every token with ``tag_of``, and a position builder that
-shifts the whole suffix at every step open. They are slow but plainly
-correct, and share no code with the production walk in
-:mod:`paratrace.topology`. The regex tokenizer is the earlier
-``tokenize`` rule. The validator and the simulator's header gate are the
-earlier hand-coded state machines, one branch per tag, copied unchanged
+each testing every token with ``is_tag`` and ``==`` against the tag
+constants, and a position builder that shifts the whole suffix at every step
+open. They are slow but plainly correct, and share no code with the
+production walk in :mod:`paratrace.topology`. The regex tokenizer is the
+earlier ``tokenize`` rule. The validator and the simulator's header gate are
+the earlier hand-coded state machines, one branch per tag, copied unchanged
 apart from their names; production reads both from one rule table.
 """
 
@@ -19,7 +19,7 @@ from paratrace import (AttentionMask, BlockStats, Rect, Span, StructureError,
 from paratrace.document import extract_boxed
 from paratrace.tags import (_TAG_SPLIT, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE,
                             PLAN_OPEN, STEP_CLOSE, STEP_OPEN, TAKEAWAY_CLOSE,
-                            TAKEAWAY_OPEN, Tag, tag_events, tag_of)
+                            TAKEAWAY_OPEN, is_tag, tag_events)
 from paratrace.validation import ValidationReport, Violation
 
 
@@ -48,16 +48,17 @@ def ref_attention_mask(tokens) -> AttentionMask:
     stack: list[_Frame] = []
     blocked: list[Rect] = []
     for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is Tag.GUIDELINE_OPEN:
+        if not is_tag(text):
+            continue
+        if text == GUIDELINE_OPEN:
             stack.append(_Frame())
-        elif tag is Tag.STEP_OPEN:
+        elif text == STEP_OPEN:
             stack[-1].open_step = i
-        elif tag is Tag.STEP_CLOSE:
+        elif text == STEP_CLOSE:
             frame = stack[-1]
             frame.steps.append(Span(frame.open_step, i + 1))
             frame.open_step = None
-        elif tag is Tag.TAKEAWAY_OPEN:
+        elif text == TAKEAWAY_OPEN:
             frame = stack.pop()
             for j, a in enumerate(frame.steps):
                 for k, b in enumerate(frame.steps):
@@ -73,19 +74,18 @@ def ref_position_ids(tokens) -> list[int]:
     pos = np.arange(n, dtype=np.int64)
     stack: list[_Frame] = []
     for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is None:
+        if not is_tag(text):
             continue
         top = stack[-1] if stack else None
-        if tag is Tag.GUIDELINE_OPEN:
+        if text == GUIDELINE_OPEN:
             stack.append(_Frame())
-        elif tag is Tag.GUIDELINE_CLOSE:
+        elif text == GUIDELINE_CLOSE:
             top.p_end = int(pos[i])
-        elif tag is Tag.STEP_OPEN and top is not None and top.p_end >= 0:
+        elif text == STEP_OPEN and top is not None and top.p_end >= 0:
             pos[i:] -= int(pos[i]) - top.p_end - 1
-        elif tag is Tag.STEP_CLOSE:
+        elif text == STEP_CLOSE:
             top.l_max = max(top.l_max, int(pos[i]) - top.p_end)
-        elif tag is Tag.TAKEAWAY_OPEN:
+        elif text == TAKEAWAY_OPEN:
             pos[i:] -= int(pos[i]) - top.p_end - top.l_max - 1
             stack.pop()
     return [int(p) for p in pos]
@@ -100,16 +100,17 @@ def ref_topology_stats(tokens) -> TopologyStats:
     stack: list[_Frame] = []
     blocks: list[BlockStats] = []
     for i, text in enumerate(texts):
-        tag = tag_of(text)
-        if tag is Tag.GUIDELINE_OPEN:
+        if not is_tag(text):
+            continue
+        if text == GUIDELINE_OPEN:
             stack.append(_Frame())
-        elif tag is Tag.GUIDELINE_CLOSE:
+        elif text == GUIDELINE_CLOSE:
             stack[-1].p_end = pos[i]
-        elif tag is Tag.STEP_CLOSE:
+        elif text == STEP_CLOSE:
             frame = stack[-1]
             frame.steps.append(Span(i, i + 1))
             frame.l_max = max(frame.l_max, pos[i] - frame.p_end)
-        elif tag is Tag.TAKEAWAY_OPEN:
+        elif text == TAKEAWAY_OPEN:
             frame = stack.pop()
             blocks.append(BlockStats(len(frame.steps), frame.l_max))
     return TopologyStats(

@@ -23,7 +23,6 @@ LIBRARY_API = {
     "read_jsonl": "the reader matching write_jsonl for untyped JSONL files",
     "schedule_confluence_check": "the masking contract checked across schedules",
     "serialize": "the inverse of tokenize",
-    "tag_of": "which tag a token is, the question is_tag only half answers",
 }
 
 
@@ -33,7 +32,7 @@ def _trees(*dirs):
 
 
 def _public_definitions() -> set[str]:
-    """Public module-level functions and classes, and public methods."""
+    """Public module-level functions, classes and constants, and public methods."""
     names = set()
     for tree in _trees(PACKAGE):
         for node in tree.body:
@@ -42,14 +41,20 @@ def _public_definitions() -> set[str]:
             if isinstance(node, ast.ClassDef):
                 names.update(item.name for item in node.body
                              if isinstance(item, ast.FunctionDef))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(name.id for target in targets for name in ast.walk(target)
+                             if isinstance(name, ast.Name))
     return {name for name in names if not name.startswith("_")}
 
 
 def _used_names() -> set[str]:
+    """Names read anywhere in the package or the benchmark: a bare name only
+    when it is loaded, so a constant's own assignment is no use of it."""
     used = set()
     for tree in _trees(PACKAGE, PERFBENCH):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

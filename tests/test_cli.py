@@ -414,13 +414,26 @@ class TestRewardAndFilter:
         """A second gold answer for one id is refused at its line, not
         silently preferred over the first."""
         trace = tmp_path / "t.jsonl"
-        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}])
+        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}, {"id": "b", "tokens": E1_FULL}])
         answers = tmp_path / "answers.jsonl"
         write_jsonl(answers, [{"id": "a", "gold": "42"}, {"id": "b", "gold": "1"},
                               {"id": "a", "gold": "7"}])
         out = tmp_path / "o"
         assert run_cli("--output-dir", out, "filter", trace, "--answers", answers) == 2
         assert f"{answers}:3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_filter_refuses_an_answer_for_an_unknown_document(self, tmp_path, capsys):
+        """An answer whose id is in no trace document is refused at its line,
+        as metrics refuses such an outcome, not silently ignored."""
+        trace = tmp_path / "t.jsonl"
+        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL, "gold": "42"}])
+        answers = tmp_path / "answers.jsonl"
+        write_jsonl(answers, [{"id": "a", "gold": "42"}, {"id": "zzz", "gold": "42"}])
+        out = tmp_path / "o"
+        assert run_cli("--output-dir", out, "filter", trace, "--answers", answers) == 2
+        err = capsys.readouterr().err
+        assert "answer for unknown document 'zzz'" in err and f"{answers}:2" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("row", ['{"id": "a"}', '{"gold": "42"}', '["a", "42"]',

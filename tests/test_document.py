@@ -1,11 +1,14 @@
 """Tokenizer and parser behaviour."""
 
+import json
 import random
+from operator import is_
 
 import pytest
 
-from paratrace import (MisplacedTag, Span, Tag, Token, UnbalancedTag, extract_boxed,
-                       is_tag, parse_document, serialize, tag_of, tokenize)
+from paratrace import (TAGS, MisplacedTag, Span, Token, UnbalancedTag, extract_boxed,
+                       is_tag, parse_document, serialize, tokenize)
+from paratrace.tags import STEP_OPEN, tag_scan
 from conftest import E1, make_corpus
 
 
@@ -22,13 +25,13 @@ class TestTokenize:
     def test_boxed_payload_single_token(self):
         tokens = tokenize("\\boxed{106^\\circ}")
         assert len(tokens) == 1
-        assert tag_of(tokens[0]) is None
+        assert not is_tag(tokens[0])
         assert extract_boxed(tokens[0].text) == "106^\\circ"
 
     def test_glued_tags_split(self):
         tokens = tokenize("x</step><step>y")
         assert [t.text for t in tokens] == ["x", "</step>", "<step>", "y"]
-        assert [tag_of(t) for t in tokens] == [None, Tag.STEP_CLOSE, Tag.STEP_OPEN, None]
+        assert [is_tag(t) for t in tokens] == [False, True, True, False]
 
     def test_round_trip(self):
         rng = random.Random(5)
@@ -39,14 +42,36 @@ class TestTokenize:
             assert [t.text for t in again] == texts
 
 
+class TestTags:
+    def test_vocabulary(self):
+        """The eight tags are plain strings, each open followed by its close,
+        and a scan hands back the ``TAGS`` object equal to each tag token."""
+        assert len({id(t) for t in TAGS}) == len(set(TAGS)) == len(TAGS) == 8
+        assert {type(t) for t in TAGS} == {str}
+        assert list(TAGS[1::2]) == ["</" + t[1:] for t in TAGS[::2]]
+        expected = [*TAGS, *reversed(TAGS)]
+        texts = json.loads(json.dumps(["w", *TAGS, "x", *reversed(TAGS), "y"]))
+        assert not any(map(is_, texts[1:9], TAGS))
+        indices, tags = tag_scan(texts)
+        assert indices == [*range(1, 9), *range(10, 18)]
+        assert len(tags) == len(expected) and all(map(is_, tags, expected))
+
+    def test_is_tag_holds_for_exactly_the_eight_texts(self):
+        names = ["guideline", "plan", "step", "takeaway", "Step", "tag", ""]
+        near = [f"{lead}{name}{tail}" for name in names
+                for lead in ("<", "</", "< ", "", "<<") for tail in (">", " >", "", ">>")]
+        assert {t for t in near if is_tag(t)} == set(TAGS)
+        assert all(is_tag(Token(t)) and is_tag("".join(t)) for t in TAGS)
+
+
 class TestToken:
     def test_kind_derived_from_text(self):
-        assert tag_of(Token("<step>")) is Tag.STEP_OPEN and is_tag(Token("<step>"))
-        assert tag_of(Token("step")) is None and not is_tag(Token("step"))
+        assert is_tag(Token("<step>")) and Token("<step>") == STEP_OPEN
+        assert not is_tag(Token("step"))
 
     def test_empty_text_is_a_token(self):
         # A trace file may hold an empty token, so the type holds one too.
-        assert Token("") == "" and tag_of(Token("")) is None
+        assert Token("") == "" and not is_tag(Token(""))
 
     def test_token_is_its_text(self):
         token = Token("a")

@@ -24,12 +24,13 @@ from paratrace import (AttentionMask, ParseError, StructureError, Token, build_a
                        parse_document, random_valid_document, serialize, tokenize,
                        topology_stats, validate_structure)
 from paratrace.engine import _validate_header
-from paratrace.tags import TAG_STRINGS, tag_scan
+from paratrace import tags
+from paratrace.tags import tag_scan
 from reference_structure import (ref_attention_mask, ref_position_ids, ref_tokenize,
                                  ref_topology_stats, ref_validate_header,
                                  ref_validate_structure)
 
-TAGS = sorted(TAG_STRINGS)
+TAGS = sorted(tags.TAGS)
 WORDS = ["w", "x1", "\\boxed{7}", "a<b", "<", "<step", "step>"]
 
 

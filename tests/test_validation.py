@@ -2,7 +2,7 @@
 
 import random
 
-from paratrace import ParseError, Tag, parse_document, validate_structure
+from paratrace import TAGS, ParseError, parse_document, validate_structure
 from conftest import E1, E1_FULL
 
 
@@ -105,7 +105,7 @@ class TestProperties:
 
     def test_fuzz_never_crashes(self):
         rng = random.Random(99)
-        vocab = [t.value for t in Tag] + ["w1", "w2", "\\boxed{1}"]
+        vocab = list(TAGS) + ["w1", "w2", "\\boxed{1}"]
         for _ in range(500):
             tag_density = rng.random() * 0.5
             n = rng.randint(0, 40)
