@@ -236,7 +236,7 @@ def cmd_filter(args):
         doc_id, tokens = doc["id"], doc["tokens"]
         gold = gold_by_id.get(doc_id, doc.get("gold"))
         if gold is None:
-            raise InputError(f"no gold answer for document {doc_id}", args.trace, lineno)
+            raise InputError(f"no gold answer for document {doc_id!r}", args.trace, lineno)
         pred = _doc_pred(tokens)
         report = validate_structure(tokens, strict=args.strict)
         correct = exact_boxed_match(pred, gold)
@@ -258,7 +258,7 @@ def cmd_metrics(args):
     by_id: dict[str, list[bool]] = {}
     for lineno, row in read_jsonl_numbered(args.outcomes, OUTCOME):
         if row["id"] not in ids:
-            raise InputError(f"outcome for unknown document {row['id']}",
+            raise InputError(f"outcome for unknown document {row['id']!r}",
                              args.outcomes, lineno)
         by_id.setdefault(row["id"], []).append(row["correct"])
     if not by_id:
@@ -311,10 +311,8 @@ def cmd_gen_corpus(args):
         raise InputError(f"bad corpus spec: {exc}", args.spec_file) from exc
     docs, keys = corpus_mod.generate_corpus(spec)
     corpus_path = write_jsonl(_out(args, "corpus.jsonl"), docs)
-    key_path = write_jsonl(_out(args, "corpus_key.jsonl"), [
-        {"id": k.doc_id, "corrupted": k.corrupted, "category": k.category,
-         "gold": k.gold} for k in keys])
-    n_bad = sum(1 for k in keys if k.corrupted)
+    key_path = write_jsonl(_out(args, "corpus_key.jsonl"), keys)
+    n_bad = sum(1 for k in keys if k["corrupted"])
     print(f"generated {len(docs)} documents ({n_bad} corrupted) with seed {spec.seed}")
     return EXIT_OK, [corpus_path, key_path]
 

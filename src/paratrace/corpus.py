@@ -169,20 +169,10 @@ class CorpusSpec:
             raise ValueError(f"weight tables allow documents of {longest} tokens, "
                              f"over the {MAX_DOC_TOKENS}-token cap")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "documents": self.documents,
-            "block_count_weights": {str(k): v for k, v in self.block_count_weights.items()},
-            "steps_per_block_weights": {str(k): v for k, v in self.steps_per_block_weights.items()},
-            "step_length_weights": {str(k): v for k, v in self.step_length_weights.items()},
-            "corruption_rate": self.corruption_rate,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorpusSpec":
-        """The spec ``to_json_dict`` wrote: weight-table keys are parsed back
-        into ints, and every other field is taken as it is."""
+        """The spec a JSON object states: weight-table keys are parsed from
+        strings into ints, and every other field is taken as it is."""
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         for name, table in kwargs.items():
             if name.endswith("_weights"):
@@ -190,20 +180,14 @@ class CorpusSpec:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class KeyEntry:
-    doc_id: str
-    corrupted: bool
-    category: int | None
-    gold: str
-
-
 def generate_corpus(spec: CorpusSpec):
-    """Deterministic corpus: returns (documents, key entries).
+    """Deterministic corpus: returns (documents, key rows).
 
-    Documents are dicts {id, tokens, gold}. Clean documents validate in both
-    lenient and strict mode (plans are paired one-to-one with steps, no
-    nesting) and carry a boxed answer equal to their gold answer.
+    Documents are dicts {id, tokens, gold} and key rows, as written to
+    ``corpus_key.jsonl``, are dicts {id, corrupted, category, gold}. Clean
+    documents validate in both lenient and strict mode (plans are paired
+    one-to-one with steps, no nesting) and carry a boxed answer equal to
+    their gold answer.
     """
     rng = random.Random(spec.seed)
     docs = []
@@ -223,5 +207,6 @@ def generate_corpus(spec: CorpusSpec):
             category = rng.randint(1, 6)
             tokens = corrupt(tokens, category, rng)
         docs.append({"id": doc_id, "tokens": tokens, "gold": gold})
-        keys.append(KeyEntry(doc_id, corrupted, category, gold))
+        keys.append({"id": doc_id, "corrupted": corrupted, "category": category,
+                     "gold": gold})
     return docs, keys

@@ -25,8 +25,8 @@ from .cache import CacheLease, RadixCache
 from .document import ReasoningDoc, parse_document
 from .errors import IllegalSchema, LedgerExhausted
 from .ledger import TokenLedger
-from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, PLAN_OPEN, STEP_CLOSE,
-                   STEP_OPEN, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, is_tag, tag_events)
+from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, STEP_CLOSE, STEP_OPEN, TAGS,
+                   TAKEAWAY_CLOSE, TAKEAWAY_OPEN, is_tag, tag_events)
 from .topology import TopologyStats, topology_stats
 from .validation import TAG_RULES
 
@@ -34,9 +34,8 @@ SCHEDULES = ("round_robin", "reverse_round_robin", "branch_major")
 REPETITION_PENALTY = 1.02  # the paper's in-step repetition penalty
 CONFLUENCE_BUDGET = 1 << 16  # cache slots and new tokens per confluence run
 
-# The token that closes each opening tag.
-_CLOSER = {GUIDELINE_OPEN: GUIDELINE_CLOSE, PLAN_OPEN: PLAN_CLOSE,
-           STEP_OPEN: STEP_CLOSE, TAKEAWAY_OPEN: TAKEAWAY_CLOSE}
+# The token that closes each opening tag: ``TAGS`` lists each open before its close.
+_CLOSER = dict(zip(TAGS[::2], TAGS[1::2]))
 
 
 class GenerationEvent(NamedTuple):
@@ -142,11 +141,6 @@ class ScriptedPolicy:
         stream = self.branches[branch_id]
         return stream[position] if position < len(stream) else None
 
-    def to_json_dict(self) -> dict:
-        return {"v": 1, "prologue": list(self.prologue),
-                "branches": {k: list(v) for k, v in self.branches.items()},
-                "takeaway": list(self.takeaway)}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScriptedPolicy":
         return cls(data["prologue"], data["branches"], data["takeaway"])
@@ -226,27 +220,23 @@ class _Run:
         self.events: list[GenerationEvent] = []
         self.emission_log: list[str] = []
         self.step = 0
-        self._seen_flushes = cache.flush_count
 
     # -- event helpers ---------------------------------------------------
 
     def _event(self, kind: str, branch=None, token=None) -> None:
         self.events.append(GenerationEvent(kind, self.step, branch, token))
 
-    def _note_flushes(self, branch=None) -> None:
-        while self._seen_flushes < self.cache.flush_count:
-            self._seen_flushes += 1
-            self._event("flush", branch=branch)
-
     # -- phases ----------------------------------------------------------
 
     def emit(self, out: list[str], token: str, lease: CacheLease, branch=None) -> None:
-        """Append one charged token to ``out``, the cache, the log and the events."""
-        try:
-            self.cache.extend(lease, token)
-        finally:
-            if self._seen_flushes != self.cache.flush_count:
-                self._note_flushes(branch)
+        """Append one charged token to ``out``, the cache, the log and the events.
+
+        Within a run only ``extend`` can flush, at most once a call, so a
+        moved flush count is one ``flush`` event, logged before the emit."""
+        flushes = self.cache.flush_count
+        self.cache.extend(lease, token)
+        if self.cache.flush_count != flushes:
+            self._event("flush", branch=branch)
         out.append(token)
         self.emission_log.append(token)
         self.events.append(GenerationEvent("emit", self.step, branch, token))

@@ -20,16 +20,11 @@ class RolloutRecord:
     def __post_init__(self):
         if len(self.logprobs) != len(self.tokens):
             raise ValueError(
-                f"record {self.record_id}: {len(self.logprobs)} log-probs "
+                f"record {self.record_id!r}: {len(self.logprobs)} log-probs "
                 f"for {len(self.tokens)} tokens")
         if self.reward is not None and not -3.0 <= self.reward <= 1.0:
-            raise ValueError(f"record {self.record_id}: reward {self.reward} "
+            raise ValueError(f"record {self.record_id!r}: reward {self.reward} "
                              "outside [-3, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {"id": self.record_id, "group": self.group_id,
-                "tokens": list(self.tokens), "logprobs": list(self.logprobs),
-                "pred": self.pred, "gold": self.gold}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RolloutRecord":
@@ -67,7 +62,7 @@ class RolloutBatch:
             row = []
             for r in group:
                 if r.reward is None:
-                    raise ValueError(f"record {r.record_id} has no reward")
+                    raise ValueError(f"record {r.record_id!r} has no reward")
                 row.append(r.reward)
             out.append(row)
         return out

@@ -203,13 +203,15 @@ def mask_from_spans_oracle(tokens) -> AttentionMask:
     """Independent mask construction from the parsed block tree.
 
     Enumerates step spans via :func:`parse_document` and zeroes rectangles
-    directly in a dense array, bypassing the tag walk entirely.
+    directly in a dense array, bypassing the tag walk entirely. The empty
+    trace, which the parser refuses, has the empty mask.
     """
+    if not tokens:
+        return AttentionMask(0)
     try:
         doc = parse_document(tokens)
-    except (ParseError, ValueError) as exc:
-        index = getattr(exc, "index", None)
-        raise StructureError(f"tag structure broken: {exc}", index) from exc
+    except ParseError as exc:
+        raise StructureError(f"tag structure broken: {exc}", exc.index) from exc
     n = len(tokens)
     dense = np.tri(n, dtype=bool)
     for block in doc.iter_blocks():

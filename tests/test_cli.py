@@ -748,6 +748,27 @@ def test_out_of_range_rollout_record_is_an_input_error(tmp_path, capsys, field, 
     assert message in err and err.rstrip().endswith(f"[{batch}:1]"), err
 
 
+@pytest.mark.parametrize("kind, row, message", [
+    ("batch", {**GOOD_RECORDS["batch"], "id": "a\nb", "logprobs": [-0.1]},
+     "record 'a\\nb': 1 log-probs for 2 tokens"),
+    ("batch", {**GOOD_RECORDS["batch"], "id": "a\nb", "reward": 5},
+     "record 'a\\nb': reward 5 outside [-3, 1]"),
+    ("outcomes", {"id": "a\nb", "correct": True}, "outcome for unknown document 'a\\nb'"),
+    ("trace", {"id": "a\nb", "tokens": E1_FULL}, "no gold answer for document 'a\\nb'"),
+])
+def test_an_id_holding_a_newline_keeps_the_error_on_one_line(tmp_path, capsys, kind, row,
+                                                             message):
+    """Messages quote the ids they name, so the input error stays one line."""
+    trace, path = tmp_path / "trace.jsonl", tmp_path / f"{kind}.jsonl"
+    write_jsonl(trace, [GOOD_RECORDS["trace"]])
+    write_jsonl(path, [row])
+    argv = {"batch": ["reward", path], "outcomes": ["metrics", trace, "--outcomes", path],
+            "trace": ["filter", path]}[kind]
+    assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and err.endswith(f"[{path}:1]\n"), err
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_new_tokens", 0), ("max_new_tokens", -3), ("budget_slots", 0), ("budget_slots", -1),
 ])

@@ -370,9 +370,11 @@ def test_event_json_schema_versioned():
         assert set(data) == {"v", "kind", "step", "branch", "token"}
 
 
-def test_script_json_round_trip():
+def test_script_reader_gives_the_streams():
     policy = e1_policy()
-    again = ScriptedPolicy.from_json_dict(policy.to_json_dict())
+    again = ScriptedPolicy.from_json_dict({"prologue": E1[:8],
+                                           "branches": {"1": E1[8:12], "2": E1[12:15]},
+                                           "takeaway": E1[15:]})
     assert again.prologue == policy.prologue
     assert again.branches == policy.branches
     assert again.takeaway == policy.takeaway
@@ -478,6 +480,27 @@ def test_event_logs_match_golden_digest():
             digest.update(b"--\n")
     assert {"flush", "truncate"} <= kinds
     assert digest.hexdigest() == GOLDEN_EVENT_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       budgets=st.lists(st.integers(1, 80) | st.just(4096), min_size=1, max_size=12))
+def test_each_flush_is_logged_once_just_before_its_emit(seed, budgets):
+    """Random scripts and ledgers on one small shared cache, as for the golden
+    digest: a completed run logs one flush event per flush of the cache during
+    it, each directly followed by an emit on its branch."""
+    for schedule in SCHEDULES:
+        rng = random.Random(seed)
+        cache = RadixCache(64)
+        for budget in budgets:
+            before = cache.flush_count
+            run = run_generation(random_policy(rng), cache, TokenLedger(budget),
+                                 schedule=schedule)
+            at = [i for i, e in enumerate(run.events) if e.kind == "flush"]
+            assert len(at) == cache.flush_count - before
+            for i in at:
+                after = run.events[i + 1]
+                assert after.kind == "emit" and after.branch == run.events[i].branch
 
 
 def test_rounds_do_work_linear_in_the_branches_left_active():

@@ -38,12 +38,14 @@ def test_from_records_preserves_order():
     assert batch.group_size == 2
 
 
-def test_with_rewards_and_json_round_trip():
+def test_with_rewards_and_record_reader():
     batch = RolloutBatch.from_records([rec("a", "g1"), rec("b", "g1")])
     scored = batch.with_rewards(lambda r: 1.0 if r.record_id == "a" else -1.0)
     assert scored.rewards() == [[1.0, -1.0]]
-    again = RolloutRecord.from_json_dict(scored.records[0].to_json_dict())
-    assert again.record_id == "a" and again.tokens == ("t0", "t1")
+    row = {"id": "a", "group": "g1", "tokens": ["t0", "t1"], "logprobs": [-0.1, -0.1],
+           "pred": "1", "gold": "1"}
+    assert RolloutRecord.from_json_dict(row) == rec("a", "g1")
+    assert RolloutRecord.from_json_dict(row).reward is None
 
 
 def test_rewards_require_scoring():

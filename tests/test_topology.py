@@ -134,8 +134,10 @@ class TestOracle:
         assert not all(oracle.is_visible(i, j) for i, j in cells)
 
     def test_tagless_equivalence(self):
-        tokens = ["a", "b"]
-        assert build_attention_mask(tokens).same_visibility(mask_from_spans_oracle(tokens))
+        for tokens in ([], ["a", "b"]):
+            built, oracle = build_attention_mask(tokens), mask_from_spans_oracle(tokens)
+            assert built.same_visibility(oracle), tokens
+            assert built.to_dense_bytes() == oracle.to_dense_bytes(), tokens
 
     def test_random_docs_equivalence(self):
         for tokens in make_corpus(100, seed=3, max_depth=2):
