@@ -10,10 +10,9 @@ line-oriented JSON files.
 # Defined before the imports: tracefile reads it for run manifests.
 __version__ = "0.1.0"
 
-from .advantages import (AdvantageTable, BatchAdvantage, GroupAdvantage,
-                         dapo_advantage, dapo_surrogate, dynamic_sampling_check,
-                         papo_advantage, papo_group_values, papo_surrogate,
-                         papo_surrogate_frozen)
+from .advantages import (Advantages, dapo_advantage, dapo_surrogate,
+                         dynamic_sampling_check, papo_advantage, papo_group_values,
+                         papo_surrogate, papo_surrogate_frozen)
 from .cache import CacheLease, RadixCache
 from .corpus import CorpusSpec, corrupt, generate_corpus, random_valid_document
 from .document import (ParallelBlock, ReasoningDoc, Span, extract_boxed,

@@ -4,9 +4,11 @@ Two normalizations are provided. The group-relative form standardizes each
 reward against its own group's mean and population std. The parallel-aware
 form keeps the group mean as the baseline but divides by the population std
 of the whole batch, which stays informative when per-group variance
-collapses. In both, a vanishing divisor flags the result as degenerate and
-zeroes the advantages instead of dividing; this keeps the outputs exactly
-invariant under shifting and positive scaling of the rewards.
+collapses. DAPO's group-relative form is the parallel-aware one applied to
+a batch of one group, so both return one :class:`Advantages` record. In
+both, a divisor at or below ``EPSILON`` zeroes the advantages instead of
+dividing; this keeps the outputs exactly invariant under shifting and
+positive scaling of the rewards.
 """
 
 from __future__ import annotations
@@ -24,19 +26,38 @@ EPSILON = 1e-6
 CLIP_LOW, CLIP_HIGH = 0.2, 0.28
 
 
-class GroupAdvantage(NamedTuple):
+class Advantages(NamedTuple):
+    """One advantage per reward, flat in batch order; each reward's baseline,
+    its group's mean; and the divisor, the population std of the batch."""
+
     advantages: tuple[float, ...]
-    mean: float
-    std: float
-    degenerate: bool
+    baselines: tuple[float, ...]
+    divisor: float
 
 
-def dapo_advantage(rewards: Sequence[float]) -> GroupAdvantage:
-    """Group-relative advantages: (R - mean(group)) / std(group)."""
-    if len(rewards) < 2:
-        raise ValueError("group must contain at least two rewards")
-    (values,), (mean,), std, degenerate = papo_group_values([rewards])
-    return GroupAdvantage(values, mean, std, degenerate)
+def papo_group_values(reward_groups: Sequence[Sequence[float]]) -> Advantages:
+    """Group-mean baseline, batch-std divisor, over N reward groups."""
+    flat = np.asarray([r for g in reward_groups for r in g], dtype=np.float64)
+    if flat.size < 2:
+        raise ValueError("batch must contain at least two rewards")
+    means = [float(np.mean(np.asarray(g, dtype=np.float64))) for g in reward_groups]
+    baselines = tuple(mean for g, mean in zip(reward_groups, means) for _ in g)
+    divisor = float(flat.std())
+    if divisor <= EPSILON:
+        return Advantages((0.0,) * flat.size, baselines, divisor)
+    return Advantages(tuple(((flat - baselines) / divisor).tolist()), baselines, divisor)
+
+
+def dapo_advantage(rewards: Sequence[float]) -> Advantages:
+    """Group-relative advantages, (R - mean(group)) / std(group): the
+    one-group batch."""
+    return papo_group_values([rewards])
+
+
+def papo_advantage(batch: RolloutBatch) -> Advantages:
+    """Batch-normalized advantages, one per record in batch order; every token
+    of a record shares its record's value."""
+    return papo_group_values(batch.rewards())
 
 
 def dynamic_sampling_check(outcomes) -> bool:
@@ -47,66 +68,6 @@ def dynamic_sampling_check(outcomes) -> bool:
     flags = [o > 0 for o in outcomes]
     correct = sum(flags)
     return 0 < correct < len(flags)
-
-
-class BatchAdvantage(NamedTuple):
-    advantages: tuple[tuple[float, ...], ...]
-    group_means: tuple[float, ...]
-    divisor: float
-    degenerate: bool
-
-
-def papo_group_values(reward_groups: Sequence[Sequence[float]]) -> BatchAdvantage:
-    """Group-mean baseline, batch-std divisor, over N reward groups."""
-    flat = np.asarray([r for g in reward_groups for r in g], dtype=np.float64)
-    if flat.size < 2:
-        raise ValueError("batch must contain at least two rewards")
-    group_means = tuple(float(np.mean(np.asarray(g, dtype=np.float64)))
-                        for g in reward_groups)
-    divisor = float(flat.std())
-    if divisor <= EPSILON:
-        advantages = tuple(tuple(0.0 for _ in g) for g in reward_groups)
-        return BatchAdvantage(advantages, group_means, divisor, True)
-    advantages = tuple(
-        tuple(float((r - mean) / divisor) for r in g)
-        for g, mean in zip(reward_groups, group_means))
-    return BatchAdvantage(advantages, group_means, divisor, False)
-
-
-class AdvantageTable(NamedTuple):
-    """Per-record advantages broadcast over every token of the record."""
-
-    record_ids: tuple[str, ...]
-    group_ids: tuple[str, ...]
-    advantages: tuple[float, ...]
-    token_counts: tuple[int, ...]
-    group_means: tuple[float, ...]
-    divisor: float
-    degenerate: bool
-
-    def rows(self):
-        for i, rid in enumerate(self.record_ids):
-            yield {"id": rid, "group": self.group_ids[i],
-                   "advantage": self.advantages[i],
-                   "num_tokens": self.token_counts[i],
-                   "group_mean": self.group_means[i],
-                   "divisor": self.divisor, "epsilon": EPSILON}
-
-
-def papo_advantage(batch: RolloutBatch) -> AdvantageTable:
-    """Batch-normalized advantage table; every token of a record shares its value."""
-    values = papo_group_values(batch.rewards())
-    record_ids, group_ids, advantages, counts, means = [], [], [], [], []
-    for g, group in enumerate(batch.groups):
-        for i, record in enumerate(group):
-            record_ids.append(record.record_id)
-            group_ids.append(record.group_id)
-            advantages.append(values.advantages[g][i])
-            counts.append(len(record.tokens))
-            means.append(values.group_means[g])
-    return AdvantageTable(tuple(record_ids), tuple(group_ids), tuple(advantages),
-                          tuple(counts), tuple(means), values.divisor,
-                          values.degenerate)
 
 
 def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:

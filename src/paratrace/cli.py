@@ -23,13 +23,13 @@ from .document import parse_document
 from .engine import ScriptedPolicy, run_generation
 from .errors import BudgetExceeded, IllegalSchema, InputError, ParseError, StructureError
 from .ledger import TokenLedger
-from .metrics import avg_at_k, best_at_k, parallel_rate
+from .metrics import avg_at_k, best_at_k, doc_is_parallel, parallel_rate
 from .rewards import exact_boxed_match, format_reward, stage1_reward, stage3_reward
 # Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
 from .rewards import accept_filter  # noqa: F401
-from .tracefile import (ANSWER, CONFIG, OUTCOME, SCRIPT, SPEC, json_line, read_json_object,
-                        read_jsonl_numbered, read_rollout_batch, read_trace, write_file,
-                        write_jsonl, write_manifest)
+from .tracefile import (CONFIG, OUTCOME, SCRIPT, SPEC, json_line, read_answers,
+                        read_json_object, read_jsonl_numbered, read_rollout_batch,
+                        read_trace, write_file, write_jsonl, write_manifest)
 from .topology import DENSE_LIMIT, build_attention_mask, build_position_ids, topology_stats
 from .validation import validate_structure
 
@@ -44,18 +44,14 @@ def _out(args, *parts) -> Path:
 
 
 def _check_file_ids(docs, path, suffix: str) -> None:
-    """Each id must name one file inside its output directory, once. The
-    file name, ``id + suffix``, must fit the usual 255-byte name limit."""
-    seen = set()
+    """Each id must name one file inside its output directory. The file
+    name, ``id + suffix``, must fit the usual 255-byte name limit."""
     for lineno, doc in docs:
         doc_id = doc["id"]
         if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0") \
                 or len((doc_id + suffix).encode("utf-8")) > 255:
             raise InputError(f"document id {doc_id!r} is not a safe file name",
                              str(path), lineno)
-        if doc_id in seen:
-            raise InputError(f"duplicate document id {doc_id!r}", str(path), lineno)
-        seen.add(doc_id)
 
 
 def _doc_pred(tokens) -> str | None:
@@ -180,21 +176,19 @@ def cmd_advantage(args):
     batch = read_rollout_batch(args.batch)
     if args.algo == "papo":
         scored = batch.with_rewards(lambda r: stage3_reward(r.pred, r.gold))
-        table = papo_advantage(scored)
-        rows = list(table.rows())
+        parts = [(scored.records, papo_advantage(scored), {})]
     else:
         scored = batch.with_rewards(
             lambda r: stage1_reward(validate_structure(r.tokens), r.pred, r.gold))
-        rows = []
-        for group in scored.groups:
-            rewards = [r.reward for r in group]
-            result = dapo_advantage(rewards)
-            keep = dynamic_sampling_check(rewards)
-            for record, adv in zip(group, result.advantages):
-                rows.append({"id": record.record_id, "group": record.group_id,
-                             "advantage": adv, "num_tokens": len(record.tokens),
-                             "group_mean": result.mean, "divisor": result.std,
-                             "epsilon": EPSILON, "discarded": not keep})
+        parts = [(group, dapo_advantage(rewards),
+                  {"discarded": not dynamic_sampling_check(rewards)})
+                 for group, rewards in zip(scored.groups, scored.rewards())]
+    rows = [{"id": record.record_id, "group": record.group_id, "advantage": advantage,
+             "num_tokens": len(record.tokens), "group_mean": baseline,
+             "divisor": result.divisor, "epsilon": EPSILON, **extra}
+            for records, result, extra in parts
+            for record, advantage, baseline in zip(records, result.advantages,
+                                                   result.baselines)]
     path = write_jsonl(_out(args, "advantages.jsonl"), rows)
     print(f"advantages for {len(rows)} records ({args.algo})")
     return EXIT_OK, [path]
@@ -222,12 +216,9 @@ def cmd_filter(args):
     gold_by_id = {}
     if args.answers:
         ids = {doc["id"] for _, doc in docs}
-        for lineno, row in read_jsonl_numbered(args.answers, ANSWER):
+        for lineno, row in read_answers(args.answers):
             if row["id"] not in ids:
                 raise InputError(f"answer for unknown document {row['id']!r}",
-                                 args.answers, lineno)
-            if row["id"] in gold_by_id:
-                raise InputError(f"duplicate document id {row['id']!r}",
                                  args.answers, lineno)
             gold_by_id[row["id"]] = row["gold"]
     rows = []
@@ -268,8 +259,7 @@ def cmd_metrics(args):
     best_scores = [float(best_at_k(v)) for v in by_id.values()]
 
     # One structure call per document: topology_stats fails exactly where
-    # the parser does, and a block with two or more branches is what
-    # doc_is_parallel looks for. Empty documents count as not parallel.
+    # the parser does. Empty documents count as not parallel.
     parallel_flags = []
     speedups = []
     for doc in docs:
@@ -277,8 +267,7 @@ def cmd_metrics(args):
             stats = topology_stats(doc["tokens"]) if doc["tokens"] else None
         except StructureError:
             stats = None
-        parallel_flags.append(stats is not None
-                              and any(b.branch_count >= 2 for b in stats.blocks))
+        parallel_flags.append(stats is not None and doc_is_parallel(stats))
         if stats is not None:
             speedups.append(stats.compression_ratio)
 

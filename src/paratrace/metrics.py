@@ -4,7 +4,7 @@ Speedup is ``topology_stats(...).compression_ratio``, not a metric here."""
 
 from __future__ import annotations
 
-from .document import ReasoningDoc
+from .topology import TopologyStats
 
 
 def avg_at_k(correct: int, k: int) -> float:
@@ -21,13 +21,14 @@ def best_at_k(outcomes) -> bool:
     return any(bool(o) for o in outcomes)
 
 
-def doc_is_parallel(doc: ReasoningDoc) -> bool:
-    """A document triggers parallelism iff some block runs >= 2 steps.
+def doc_is_parallel(stats: TopologyStats) -> bool:
+    """A document, given by its ``topology_stats``, triggers parallelism iff
+    some block runs >= 2 branches.
 
     Single-step blocks decode sequentially, so they do not count; this is
     what separates genuine parallel traces from autoregressive fallback.
     """
-    return any(len(block.steps) >= 2 for block in doc.iter_blocks())
+    return any(block.branch_count >= 2 for block in stats.blocks)
 
 
 def parallel_rate(flags) -> float:

@@ -113,15 +113,15 @@ def read_json_object(path, schema: Schema) -> dict:
     return check_fields(data, schema, path)
 
 
-def read_jsonl_numbered(path, schema: Schema | None = None) -> list[tuple[int, dict]]:
-    """(source line number, row) pairs; blank lines are skipped but counted,
-    and with a ``schema`` each row is checked against it.
+def read_jsonl_numbered(path, schema: Schema | None = None):
+    """(source line number, row) pairs, yielded one line at a time; blank
+    lines are skipped but counted, and with a ``schema`` each row is checked
+    against it.
 
     Each line's bytes are decoded on their own, so bad UTF-8 is reported at
     its own line; ``bytes.splitlines`` breaks lines where text mode would.
     """
     path = _input_file(path)
-    rows = []
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -135,9 +135,18 @@ def read_jsonl_numbered(path, schema: Schema | None = None) -> list[tuple[int, d
             raise InputError(f"bad JSON: {exc.msg}", str(path), lineno) from exc
         except UnicodeEncodeError as exc:
             raise InputError(f"bad JSON: {exc.reason}", str(path), lineno) from exc
-        rows.append((lineno, row if schema is None
-                     else check_fields(row, schema, path, lineno)))
-    return rows
+        yield lineno, row if schema is None else check_fields(row, schema, path, lineno)
+
+
+def _keyed_rows(path, schema: Schema, kind: str):
+    """The rows of a format keyed by ``id``, one line at a time: a row whose
+    id an earlier row holds is an :class:`InputError` at its own line."""
+    seen = set()
+    for lineno, row in read_jsonl_numbered(path, schema):
+        if row["id"] in seen:
+            raise InputError(f"duplicate {kind} id {row['id']!r}", str(path), lineno)
+        seen.add(row["id"])
+        yield lineno, row
 
 
 def read_jsonl(path) -> list[dict]:
@@ -169,12 +178,16 @@ def write_jsonl(path, rows) -> Path:
 
 
 def read_trace(path) -> list[tuple[int, dict]]:
-    return read_jsonl_numbered(path, TRACE)
+    return list(_keyed_rows(path, TRACE, "document"))
+
+
+def read_answers(path) -> list[tuple[int, dict]]:
+    return list(_keyed_rows(path, ANSWER, "document"))
 
 
 def read_rollout_batch(path) -> RolloutBatch:
     records = []
-    for lineno, row in read_jsonl_numbered(path, ROLLOUT):
+    for lineno, row in _keyed_rows(path, ROLLOUT, "record"):
         try:
             records.append(RolloutRecord.from_json_dict(row))
         except ValueError as exc:

@@ -1,6 +1,7 @@
 """Reference implementations of the RL step's hot loops, kept for cross-checks.
 
-These are the earlier scalar forms: a clipped surrogate and a frozen-reference
+These are the earlier scalar forms: a group-mean, batch-std advantage
+normalizer in plain Python floats, a clipped surrogate and a frozen-reference
 surrogate that call ``np.exp`` one token at a time, summing in token order,
 a cache flush that walks the tree in post-order with an explicit stack of
 ``(node, expanded)`` pairs, and a radix cache whose leases pin every node on
@@ -10,9 +11,27 @@ their path. They are slow but plainly correct, and share no code with
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from paratrace import BudgetExceeded, DoubleRelease, RadixCache
+
+
+def ref_group_advantages(groups, epsilon: float):
+    """(advantages, baselines, divisor) over reward groups, flat in batch
+    order: each reward's group mean as its baseline, and the population std
+    of the whole batch as the divisor, or all-zero advantages when that std
+    is at most ``epsilon``."""
+    flat = [float(r) for g in groups for r in g]
+    if len(flat) < 2:
+        raise ValueError("batch must contain at least two rewards")
+    baselines = [math.fsum(g) / len(g) for g in groups for _ in g]
+    mean = math.fsum(flat) / len(flat)
+    divisor = math.sqrt(math.fsum((r - mean) ** 2 for r in flat) / len(flat))
+    if divisor <= epsilon:
+        return [0.0] * len(flat), baselines, divisor
+    return [(r - b) / divisor for r, b in zip(flat, baselines)], baselines, divisor
 
 
 def ref_dapo_surrogate(old_logprobs, new_logprobs, advantages,

@@ -15,7 +15,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LIBRARY_API = {
     "additive": "the mask as an additive float bias, the form attention kernels take",
     "apply_repetition_penalty": "the paper's in-step repetition penalty",
-    "doc_is_parallel": "the per-document flag that parallel_rate aggregates",
     "extent": "a block's whole span, guideline open to takeaway close",
     "is_visible": "one query of the mask without building it dense",
     "match_prefix": "a read-only cache lookup that pins nothing",

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import paratrace
-from paratrace import (corrupt, doc_is_parallel, parse_document, parallel_rate,
-                       random_valid_document, topology_stats)
+from paratrace import (corrupt, parse_document, parallel_rate, random_valid_document,
+                       topology_stats)
 from paratrace.cli import main
 from paratrace.topology import DENSE_LIMIT
 from paratrace.errors import ParseError
@@ -138,13 +138,19 @@ class TestMaskPosid:
         assert f"{trace}:2" in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trace]
 
-    @pytest.mark.parametrize("command", ["mask", "posid"])
+    @pytest.mark.parametrize("command", ["mask", "posid", "validate", "filter", "metrics"])
     def test_duplicate_ids_rejected(self, tmp_path, capsys, command):
-        trace = tmp_path / "t.jsonl"
-        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL}, {"id": "b", "tokens": E1},
-                            {"id": "a", "tokens": E1}])
-        assert run_cli("--output-dir", tmp_path / "out", command, trace) == 2
-        assert f"{trace}:3" in capsys.readouterr().err
+        """Every reader of a trace refuses a repeated id at the repeat's line,
+        so no per-id input (answers, outcomes) can apply to two documents."""
+        trace, outcomes = tmp_path / "t.jsonl", tmp_path / "outcomes.jsonl"
+        write_jsonl(trace, [{"id": "a", "tokens": E1_FULL, "gold": "42"},
+                            {"id": "b", "tokens": E1, "gold": "42"},
+                            {"id": "a", "tokens": E1, "gold": "42"}])
+        write_jsonl(outcomes, [{"id": "a", "correct": True}])
+        argv = [command, trace] + (["--outcomes", outcomes] if command == "metrics" else [])
+        assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
+        err = capsys.readouterr().err
+        assert "duplicate document id 'a'" in err and f"{trace}:3" in err, err
         assert not (tmp_path / "out").exists()
 
     def test_dense_mask_stops_at_the_cap(self, tmp_path, capsys):
@@ -355,6 +361,20 @@ class TestAdvantage:
         assert run_cli("--output-dir", tmp_path, "advantage", path,
                        "--algo", "papo") == 2
 
+    @pytest.mark.parametrize("argv", [["reward"], ["advantage", "--algo", "dapo"],
+                                      ["advantage", "--algo", "papo"]],
+                             ids=["reward", "dapo", "papo"])
+    def test_duplicate_record_ids_rejected(self, tmp_path, capsys, batch_file, argv):
+        """A batch holding one record id twice is refused at the repeat's line,
+        not scored into two rows with the same id."""
+        rows = read_jsonl(batch_file)
+        write_jsonl(batch_file, rows[:3] + [{**rows[3], "id": "b"}])
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, argv[0], batch_file, *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate record id 'b'" in err and f"{batch_file}:4" in err, err
+        assert not out.exists()
+
     def test_ragged_groups_rejected(self, tmp_path):
         path = tmp_path / "ragged.jsonl"
         write_jsonl(path, [
@@ -497,7 +517,8 @@ class TestMetrics:
         flags, speedups = [], []
         for doc in docs:
             try:
-                flags.append(doc_is_parallel(parse_document(doc)))
+                flags.append(any(len(block.steps) >= 2
+                                 for block in parse_document(doc).iter_blocks()))
                 speedups.append(topology_stats(doc).compression_ratio)
             except (ParseError, ValueError):
                 flags.append(False)
@@ -836,3 +857,60 @@ def test_only_tracefile_writes_files():
                      if isinstance(node, ast.Call) and _writes_a_file(node)
                      and path.name != "tracefile.py")
     assert writers == []
+
+
+# Pinned sha256 over each run's exit code and every output file of the
+# pipeline below, in sorted relative-path order. No run writes a manifest,
+# because manifests hold absolute paths.
+PIPELINE_DIGEST = "492f8b006f308deb88119767f34483476753a2fdce624dfc77384eb83ed3c0c6"
+
+
+def test_every_subcommand_artifact_is_pinned(tmp_path):
+    """One seeded corpus through every trace and scoring subcommand: any
+    change to an artifact's bytes or to an exit code moves the digest."""
+    def run(name, *argv):
+        return run_cli("--output-dir", tmp_path / "out" / name, *argv)
+
+    codes = [run("corpus", "--seed", 3, "gen-corpus", "--docs", 200, "--corruption", 0.5)]
+    corpus = tmp_path / "out" / "corpus" / "corpus.jsonl"
+    key = tmp_path / "out" / "corpus" / "corpus_key.jsonl"
+    docs, keys = read_jsonl(corpus), read_jsonl(key)
+    rng = random.Random(3)
+    outcomes = tmp_path / "outcomes.jsonl"
+    write_jsonl(outcomes, [{"id": d["id"], "correct": rng.random() < 0.6}
+                           for d in docs for _ in range(rng.randint(1, 3))])
+
+    def record(i, doc, pred):
+        return {"id": doc["id"], "group": f"g{i // 4}", "tokens": doc["tokens"],
+                "logprobs": [round(-rng.random(), 3) for _ in doc["tokens"]],
+                "pred": pred, "gold": doc["gold"]}
+    # Groups of 4; group g0 answers every question. The degenerate batch
+    # holds clean, correct records only, so every reward is the same.
+    batch, degenerate = tmp_path / "batch.jsonl", tmp_path / "degenerate.jsonl"
+    write_jsonl(batch, [record(i, d, d["gold"] if i < 4 else
+                               rng.choice([d["gold"], "ans0", None]))
+                        for i, d in enumerate(docs[:48])])
+    clean = [d for d, k in zip(docs, keys) if not k["corrupted"]][:8]
+    write_jsonl(degenerate, [record(i, d, d["gold"]) for i, d in enumerate(clean)])
+
+    codes += [run("validate", "validate", corpus),
+              run("validate-strict", "validate", corpus, "--strict"),
+              run("filter", "filter", corpus),
+              run("filter-strict", "filter", corpus, "--strict"),
+              run("filter-answers", "filter", corpus, "--answers", key),
+              run("coords", "mask", corpus),
+              run("dense", "mask", corpus, "--format", "dense"),
+              run("posid", "posid", corpus),
+              run("metrics", "metrics", corpus, "--outcomes", outcomes)]
+    for name, path in (("batch", batch), ("degenerate", degenerate)):
+        codes += [run(f"{name}-reward", "reward", path)]
+        codes += [run(f"{name}-{algo}", "advantage", path, "--algo", algo)
+                  for algo in ("dapo", "papo")]
+    assert codes == [0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+
+    digest = hashlib.sha256(bytes(codes))
+    out = tmp_path / "out"
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == PIPELINE_DIGEST

@@ -3,7 +3,7 @@
 import pytest
 
 from paratrace import (avg_at_k, best_at_k, doc_is_parallel, parallel_rate,
-                       parse_document)
+                       topology_stats)
 from conftest import E1
 
 
@@ -38,15 +38,15 @@ def test_parallel_rate_empty_rejected():
 
 
 def test_parallel_predicate_needs_two_steps():
-    assert doc_is_parallel(parse_document(E1)) is True
+    assert doc_is_parallel(topology_stats(E1)) is True
     single = ["<guideline>", "<plan>", "p", "</plan>", "</guideline>",
               "<step>", "x", "</step>", "<takeaway>", "t", "</takeaway>"]
-    assert doc_is_parallel(parse_document(single)) is False
-    assert doc_is_parallel(parse_document(["plain", "text"])) is False
+    assert doc_is_parallel(topology_stats(single)) is False
+    assert doc_is_parallel(topology_stats(["plain", "text"])) is False
 
 
 def test_parallel_predicate_counts_nested_blocks():
     single_outer = ["<guideline>", "<plan>", "p", "</plan>", "</guideline>",
                     "<step>", "x"] + E1 + ["</step>",
                     "<takeaway>", "t", "</takeaway>"]
-    assert doc_is_parallel(parse_document(single_outer)) is True
+    assert doc_is_parallel(topology_stats(single_outer)) is True

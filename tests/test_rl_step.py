@@ -16,15 +16,52 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paratrace import (BudgetExceeded, DoubleRelease, GenerationEvent, IllegalSchema,
-                       LedgerEntry, RadixCache, ScriptedPolicy, TokenLedger, dapo_surrogate,
-                       papo_surrogate, papo_surrogate_frozen, run_generation)
-from paratrace.advantages import CLIP_HIGH, CLIP_LOW
+                       LedgerEntry, RadixCache, ScriptedPolicy, TokenLedger, dapo_advantage,
+                       dapo_surrogate, papo_group_values, papo_surrogate,
+                       papo_surrogate_frozen, run_generation)
+from paratrace.advantages import CLIP_HIGH, CLIP_LOW, EPSILON
 from reference_rl import (PathPinningCache, ref_dapo_surrogate, ref_flush,
-                          ref_papo_surrogate_frozen)
+                          ref_group_advantages, ref_papo_surrogate_frozen)
+
+# -- advantage normalizer ---------------------------------------------------
+
+# Stage-1 and stage-3 reward values, so groups often tie, or any in range.
+REWARD = st.one_of(st.sampled_from([-1.0, -1 / 3, 0.0, 1.0]), st.floats(-3, 1))
+
+
+@st.composite
+def reward_groups(draw):
+    """1 to 6 groups of one size from 2 to 8, some with a single value."""
+    size = draw(st.integers(2, 8))
+    group = st.one_of(st.lists(REWARD, min_size=size, max_size=size),
+                      REWARD.map(lambda r: [r] * size))
+    return draw(st.lists(group, min_size=1, max_size=6))
+
+
+def assert_matches_reference(got, groups) -> None:
+    advantages, baselines, divisor = ref_group_advantages(groups, EPSILON)
+    assume(abs(divisor - EPSILON) > 1e-9)  # either side of the cut may round
+    assert got.divisor == pytest.approx(divisor, rel=1e-9, abs=1e-12)
+    assert got.baselines == pytest.approx(baselines, rel=1e-9, abs=1e-12)
+    if divisor <= EPSILON:
+        assert got.advantages == (0.0,) * len(advantages)
+    else:
+        assert got.advantages == pytest.approx(advantages, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(reward_groups())
+@example([[0.5, 0.5], [0.5, 0.5]])
+@example([[1.0, -1.0], [1.0, 1.0]])
+def test_normalizer_matches_scalar_reference(groups):
+    """PAPO over the whole batch, and DAPO over each group on its own."""
+    assert_matches_reference(papo_group_values(groups), groups)
+    for group in groups:
+        assert_matches_reference(dapo_advantage(group), [group])
 
 # -- clipped surrogate ------------------------------------------------------
 
