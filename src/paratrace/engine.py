@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -49,11 +50,16 @@ class GenerationEvent(NamedTuple):
                 "branch": self.branch, "token": self.token}
 
 
+# Builds a record from a stored plain ``(kind, step, branch, token)`` tuple.
+# The log stores plain tuples because the cyclic collector untracks those
+# and never a tuple subclass.
+_event_record = partial(tuple.__new__, GenerationEvent)
+
+
 @dataclass
 class BranchState:
     branch_id: str
     emitted: list[str] = field(default_factory=list)
-    status: str = "active"  # active | closed | truncated
     lease: CacheLease | None = None
 
     @property
@@ -195,14 +201,19 @@ def _validate_header(prologue, n_branches: int, strict: bool) -> str | None:
 @dataclass
 class GenerationRun:
     doc: ReasoningDoc
-    events: list[GenerationEvent]
+    _events: list[tuple]  # plain (kind, step, branch, token) tuples
     stats: TopologyStats
     decode_steps: int
+
+    @property
+    def events(self) -> list[GenerationEvent]:
+        """The event log as records, built on each read."""
+        return list(map(_event_record, self._events))
 
     def branch_streams(self) -> dict[str, list[str]]:
         """Per-branch token streams (emitted and forced) from the event log."""
         streams: dict[str, list[str]] = {}
-        for kind, _, branch, token in self.events:
+        for kind, _, branch, token in self._events:
             if kind in ("emit", "truncate") and branch is not None and token is not None:
                 streams.setdefault(branch, []).append(token)
         return streams
@@ -217,29 +228,30 @@ class _Run:
         self.cache = cache
         self.ledger = ledger
         self.schedule = schedule
-        self.events: list[GenerationEvent] = []
+        self.events: list[tuple] = []  # plain (kind, step, branch, token) tuples
         self.emission_log: list[str] = []
         self.step = 0
 
     # -- event helpers ---------------------------------------------------
 
     def _event(self, kind: str, branch=None, token=None) -> None:
-        self.events.append(GenerationEvent(kind, self.step, branch, token))
+        self.events.append((kind, self.step, branch, token))
 
     # -- phases ----------------------------------------------------------
 
-    def emit(self, out: list[str], token: str, lease: CacheLease, branch=None) -> None:
-        """Append one charged token to ``out``, the cache, the log and the events.
+    def emit(self, out: list[str], token: str, lease: CacheLease) -> None:
+        """Append one charged main-stream token to ``out``, the cache, the log
+        and the events.
 
         Within a run only ``extend`` can flush, at most once a call, so a
         moved flush count is one ``flush`` event, logged before the emit."""
         flushes = self.cache.flush_count
         self.cache.extend(lease, token)
         if self.cache.flush_count != flushes:
-            self._event("flush", branch=branch)
+            self._event("flush")
         out.append(token)
         self.emission_log.append(token)
-        self.events.append(GenerationEvent("emit", self.step, branch, token))
+        self._event("emit", token=token)
 
     def sequential(self, out: list[str], stream, lease: CacheLease) -> bool:
         """Emit a stream one token per step. False when the ledger ran dry."""
@@ -303,8 +315,8 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
                                   strict_validator)
         if reason is not None:
             run._event("reject", token=reason)
-            raise IllegalSchema(f"pre-branch validator: {reason}",
-                                tokens=prologue, events=run.events)
+            raise IllegalSchema(f"pre-branch validator: {reason}", tokens=prologue,
+                                events=map(_event_record, run.events))
         if not funded:
             run.force_close(prologue)
             return _finish(run, prologue)
@@ -330,44 +342,52 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
 def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
     """Decode the branches in rounds; each round charges one token per active
     branch of its group. Branch-major order runs each branch as its own group.
-    A branch never becomes active again, so each round filters the previous
-    round's active list, not the whole group."""
+
+    This is the per-token loop, so its methods are bound once. A round asks
+    each funded branch's policy for its next token and extends its lease,
+    then force-closes the unfunded branches, in order. A branch never becomes
+    active again, so the next round runs the funded branches that did not
+    close, not the whole group."""
     order = list(branches)
     if run.schedule == "reverse_round_robin":
         order = order[::-1]
     groups = [[b] for b in order] if run.schedule == "branch_major" else [order]
+    charge, next_token = run.ledger.charge, run.policy.next_token
+    cache, log = run.cache, run.emission_log
+    extend, log_token, log_event = cache.extend, log.append, run.events.append
+    flushes = cache.flush_count  # only ``extend`` flushes here, at most once a call
     for active in groups:
-        while True:
-            active = [b for b in active if b.status == "active"]
-            if not active:
-                break
-            accepted = run.ledger.charge(len(active))
-            before = len(run.emission_log)
-            for i, b in enumerate(active):
-                _advance(run, b, funded=i < accepted)
-            if len(run.emission_log) > before:
+        while active:
+            n = len(active)
+            accepted = charge(n)
+            step, before = run.step, len(log)
+            still = []
+            for b in active if accepted == n else active[:accepted]:
+                bid, emitted = b.branch_id, b.emitted
+                token = next_token(bid, len(emitted), EmissionLogView(log))
+                if token is None:
+                    # Streams always end at a step close, which closes the branch first.
+                    raise ValueError(f"policy returned no token for active branch {bid!r}")
+                extend(b.lease, token)
+                if cache.flush_count != flushes:
+                    flushes = cache.flush_count
+                    log_event(("flush", step, bid, None))
+                emitted.append(token)
+                log_token(token)
+                log_event(("emit", step, bid, token))
+                if token != STEP_CLOSE:
+                    still.append(b)
+            if accepted < n:
+                for b in active[accepted:]:
+                    run.force_close(b.emitted, b.branch_id)
+            if len(log) > before:
                 run.step += 1
-
-
-def _advance(run: _Run, branch: BranchState, funded: bool) -> None:
-    if not funded:
-        run.force_close(branch.emitted, branch.branch_id)
-        branch.status = "truncated"
-        return
-    token = run.policy.next_token(branch.branch_id, len(branch.emitted),
-                                  EmissionLogView(run.emission_log))
-    if token is None:
-        # Streams always end at a step close, which closes the branch first.
-        raise ValueError(f"policy returned no token for active branch "
-                         f"{branch.branch_id!r}")
-    run.emit(branch.emitted, token, branch.lease, branch.branch_id)
-    if token == STEP_CLOSE:
-        branch.status = "closed"
+            active = still
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
     doc = parse_document(tokens)
-    return GenerationRun(doc=doc, events=run.events,
+    return GenerationRun(doc=doc, _events=run.events,
                          stats=topology_stats(tokens), decode_steps=run.step)
 
 

@@ -8,6 +8,7 @@ charge for audit and replay.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 
@@ -17,13 +18,18 @@ class LedgerEntry(NamedTuple):
     charged: int
 
 
+# Builds a record from a stored plain ``(step, active_branches, charged)``
+# tuple: the cyclic collector untracks plain tuples, never a tuple subclass.
+_entry_record = partial(tuple.__new__, LedgerEntry)
+
+
 class TokenLedger:
     def __init__(self, max_new_tokens: int):
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be non-negative")
         self.max_new_tokens = max_new_tokens
         self.charged = 0
-        self._timeline: list[LedgerEntry] = []
+        self._timeline: list[tuple[int, int, int]] = []
 
     @property
     def remaining(self) -> int:
@@ -31,7 +37,8 @@ class TokenLedger:
 
     @property
     def timeline(self) -> tuple[LedgerEntry, ...]:
-        return tuple(self._timeline)
+        """The charges so far as records, built on each read."""
+        return tuple(map(_entry_record, self._timeline))
 
     def charge(self, active_branches: int) -> int:
         """Charge one token per active branch, capped by the remaining budget.
@@ -44,5 +51,5 @@ class TokenLedger:
             raise ValueError("active_branches must be >= 1")
         accepted = min(active_branches, self.remaining)
         self.charged += accepted
-        self._timeline.append(LedgerEntry(len(self._timeline), active_branches, accepted))
+        self._timeline.append((len(self._timeline), active_branches, accepted))
         return accepted

@@ -1,5 +1,5 @@
-"""Shared fixtures: the 18-token reference document, corpus helpers and a
-line-event work counter."""
+"""Shared fixtures: the 18-token reference document, corpus helpers, and
+line-event and call-event work counters."""
 
 from __future__ import annotations
 
@@ -141,4 +141,22 @@ def line_events(fn) -> int:
         fn()
     finally:
         sys.settrace(previous)
+    return count
+
+
+def python_calls(fn) -> int:
+    """Python-level function calls while ``fn()`` runs, C functions not
+    counted: the interpreter overhead a hot loop pays, which no clock perturbs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
     return count

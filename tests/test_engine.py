@@ -14,7 +14,8 @@ from paratrace import (BranchState, BudgetExceeded, EmissionLogView, IllegalSche
                        schedule_confluence_check, topology_stats,
                        validate_structure)
 from paratrace.engine import SCHEDULES
-from conftest import E1, line_events
+from conftest import E1, line_events, python_calls
+from reference_engine import ref_generation
 
 
 def e1_policy() -> ScriptedPolicy:
@@ -516,3 +517,119 @@ def test_rounds_do_work_linear_in_the_branches_left_active():
         return line_events(lambda: run_generation(policy, *fresh(8 * n, 8 * n)))
 
     assert work(800) <= 5 * work(200)
+
+
+class _SeeingPolicy(ScriptedPolicy):
+    """Records what each ``next_token`` call saw of its context."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def next_token(self, branch_id, position, context=()):
+        self.seen.append((branch_id, position, len(context), context[-1:]))
+        return super().next_token(branch_id, position, context)
+
+
+def _tree(node):
+    """A cache subtree as ``(token, ref_count, subtree)`` triples, children
+    in insertion order."""
+    return [(tok, child.ref_count, _tree(child)) for tok, child in node.children.items()]
+
+
+def _outcome(generate, script, cache, ledger, strict, schedule):
+    """What one run gave and left: its events, steps and tokens (a refusal's
+    with no steps) or its exception type, the ledger timeline, the cache's
+    state and what each policy call saw."""
+    policy = _SeeingPolicy(*script)
+    try:
+        result = generate(policy, cache, ledger, strict, schedule)
+    except IllegalSchema as exc:
+        result = exc.events, None, exc.tokens
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        result = type(exc)
+    return (result, ledger.timeline, cache.usage, cache.flush_count,
+            _tree(cache._root), policy.seen)
+
+
+def _engine(policy, cache, ledger, strict, schedule):
+    run = run_generation(policy, cache, ledger, strict, schedule)
+    return run.events, run.decode_steps, run.doc.texts()
+
+
+def _compare_with_reference(runs, slots: int) -> set[str]:
+    """Run ``(script, budget, strict)`` runs in order under every schedule,
+    the engine and the reference each on its own ``slots``-slot cache shared
+    by all the runs; return the event kinds and exception types seen."""
+    seen = set()
+    for schedule in SCHEDULES:
+        caches = RadixCache(slots), RadixCache(slots)
+        for script, budget, strict in runs:
+            got, want = (_outcome(generate, script, cache, TokenLedger(budget), strict,
+                                  schedule)
+                         for generate, cache in zip((_engine, ref_generation), caches))
+            assert got == want
+            result = got[0]
+            if isinstance(result, type):
+                seen.add(result.__name__)
+            else:
+                seen.update(e.kind for e in result[0])
+    return seen
+
+
+_BODY = st.lists(st.sampled_from(["a", "b", "c"]), max_size=5)
+_SCRIPT = st.builds(
+    lambda prologue, bodies, tail: (prologue, {str(i + 1): ["<step>", *b, "</step>"]
+                                               for i, b in enumerate(bodies)},
+                                    ["<takeaway>", *tail, "</takeaway>"]),
+    st.one_of(st.builds(lambda plans: ["<guideline>"] + [t for p in plans
+                                                        for t in ["<plan>", *p, "</plan>"]]
+                        + ["</guideline>"],
+                        st.lists(_BODY, max_size=4)),
+              st.lists(st.sampled_from(["<guideline>", "</guideline>", "<plan>", "</plan>",
+                                        "p"]), min_size=1, max_size=6)),
+    st.lists(_BODY, min_size=1, max_size=4),
+    st.lists(st.just("t"), max_size=2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(runs=st.lists(st.tuples(_SCRIPT, st.integers(1, 40) | st.just(4096), st.booleans()),
+                     min_size=1, max_size=6))
+def test_engine_matches_the_reference_per_token_path(runs):
+    """The round loop against the earlier one-call-per-token path: equal
+    events, steps, tokens, ledger timelines, raised types, cache states and
+    policy contexts, on a 24-slot cache shared across runs."""
+    _compare_with_reference(runs, slots=24)
+
+
+def test_reference_comparison_reaches_every_outcome():
+    """Seeded scripts through the same comparison flush, truncate, refuse
+    illegal headers and overflow the cache."""
+    rng = random.Random(2025)
+    runs = []
+    for i in range(40):
+        policy = random_policy(rng)
+        prologue = policy.prologue if i % 5 else ("x",) + policy.prologue
+        runs.append(((prologue, policy.branches, policy.takeaway),
+                     rng.choice([4, 9, 17, 4096]), rng.random() < 0.5))
+    seen = _compare_with_reference(runs, slots=24)
+    assert {"flush", "truncate", "reject", "BudgetExceeded"} <= seen
+
+
+def test_a_branch_token_costs_at_most_four_python_calls():
+    """Four branches, each 200 tokens longer, on a cache that already holds
+    every path: the extra Python-level calls per extra branch token are the
+    policy's ``next_token``, the context view and the cache's ``extend``,
+    plus a share of the round's ``charge``."""
+    def calls(n):
+        policy = ScriptedPolicy(
+            ["<guideline>", *[t for j in range(4) for t in ("<plan>", f"{j}:", "</plan>")],
+             "</guideline>"],
+            {str(j): ["<step>", *[f"b{j}w{i}" for i in range(n)], "</step>"]
+             for j in range(4)},
+            ["<takeaway>", "t", "</takeaway>"])
+        cache = RadixCache(1 << 16)
+        run_generation(policy, cache, TokenLedger(1 << 16))
+        return python_calls(lambda: run_generation(policy, cache, TokenLedger(1 << 16)))
+
+    assert (calls(300) - calls(100)) / (4 * 200) <= 4

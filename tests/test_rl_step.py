@@ -3,12 +3,14 @@
 The array-form clipped and frozen-reference surrogates, the reverse
 breadth-first cache flush and the cache's tip-only pins are compared with
 the forms kept in ``reference_rl.py``. The record
-types the engine and the ledger build once per token or per round keep
-their public contract whatever their implementation.
+types the engine and the ledger hand out keep their public contract
+whatever their implementation: the logs store plain tuples, and each read
+builds the records.
 """
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import math
@@ -314,3 +316,40 @@ def test_illegal_schema_carries_events():
     assert events and all(type(e) is GenerationEvent for e in events)
     assert [e.kind for e in events] == ["emit", "emit", "reject"]
     assert events[-1] == GenerationEvent("reject", 2, None, "header declares no plan")
+
+
+def test_logs_are_stored_plain_and_read_as_records():
+    """A run's event log, a refusal's events and a ledger's timeline read as
+    records with their fields and JSON bytes, equal on every read, while the
+    stored entries are plain tuples that the cyclic collector untracks."""
+    policy = ScriptedPolicy(["<guideline>", "<plan>", "1:", "</plan>", "</guideline>"],
+                            {"1": ["<step>", "x", "</step>"], "2": ["<step>", "</step>"]},
+                            ["<takeaway>", "t", "</takeaway>"])
+    ledger = TokenLedger(64)
+    run = run_generation(policy, RadixCache(64), ledger)
+    with pytest.raises(IllegalSchema) as refused:
+        run_generation(ScriptedPolicy(["<guideline>", "</guideline>"],
+                                      {"1": ["<step>", "</step>"]},
+                                      ["<takeaway>", "</takeaway>"]),
+                       RadixCache(64), TokenLedger(64))
+    reads = {"events": lambda: run.events, "refused": lambda: refused.value.events,
+             "timeline": lambda: ledger.timeline}
+    for name, read in reads.items():
+        cls = LedgerEntry if name == "timeline" else GenerationEvent
+        assert read() == read() and all(type(r) is cls for r in read()), name
+
+    events = run.events
+    assert [json.dumps(e.to_json_dict()) for e in events[4:7]] == [
+        '{"v": 1, "kind": "emit", "step": 4, "branch": null, "token": "</guideline>"}',
+        '{"v": 1, "kind": "fork", "step": 5, "branch": null, "token": null}',
+        '{"v": 1, "kind": "emit", "step": 5, "branch": "1", "token": "<step>"}']
+    fork = events[5]
+    assert (fork.kind, fork.step, fork.branch, fork.token) == ("fork", 5, None, None)
+    assert refused.value.events[-1].kind == "reject"
+    entry = ledger.timeline[5]
+    assert entry == LedgerEntry(5, 2, 2)
+    assert (entry.step, entry.active_branches, entry.charged) == (5, 2, 2)
+
+    gc.collect()
+    for stored in (run._events[-1], ledger._timeline[-1]):
+        assert type(stored) is tuple and gc.is_tracked(stored) is False
