@@ -31,7 +31,8 @@ class StructureError(Exception):
 
 
 class DoubleRelease(Exception):
-    """A cache handle was released twice, or a reference count would go negative."""
+    """A cache lease was extended or released after its release, or by a
+    cache that did not make it."""
 
 
 class BudgetExceeded(Exception):

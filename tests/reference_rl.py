@@ -3,15 +3,17 @@
 These are the earlier scalar forms: a group-mean, batch-std advantage
 normalizer in plain Python floats, a clipped surrogate and a frozen-reference
 surrogate that call ``np.exp`` one token at a time, summing in token order,
-a cache flush that walks the tree in post-order with an explicit stack of
-``(node, expanded)`` pairs, and a radix cache whose leases pin every node on
-their path. They are slow but plainly correct, and share no code with
-:mod:`paratrace.advantages` or :mod:`paratrace.cache`.
+a cache flush that walks the id tables in post-order with an explicit stack
+of ``(node, expanded)`` pairs, a reader of the cache's tree, and a radix
+cache with node objects whose leases pin every node on their path. They are
+slow but plainly correct, and share no code with :mod:`paratrace.advantages`
+or :mod:`paratrace.cache`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -75,22 +77,46 @@ def ref_papo_surrogate_frozen(logprobs, ref_logprobs, advantages) -> float:
 
 
 def ref_flush(cache: RadixCache) -> int:
-    """Evict every unreferenced node of ``cache`` in depth-first post-order."""
+    """Evict every unpinned childless node of ``cache`` in depth-first
+    post-order over its id tables. A node is pinned when it is the tip of a
+    live lease or the node a pending insertion grows from."""
+    children = cache._children
+    pinned = {lease._tip for lease in cache._leases} | {cache._protect}
     freed = 0
-    stack = [(cache._root, False)]
+    stack = [(0, False)]
     while stack:
         node, expanded = stack.pop()
         if not expanded:
             stack.append((node, True))
-            stack.extend((child, False) for child in node.children.values())
+            stack.extend((child, False) for child in children[node].values())
             continue
-        for tok in list(node.children):
-            child = node.children[tok]
-            if child.ref_count == 0 and not child.children:
-                del node.children[tok]
+        kids = children[node]
+        for tok in list(kids):
+            child = kids[tok]
+            if child not in pinned and not children[child]:
+                del kids[tok]
+                cache._free.append(child)
                 freed += 1
     cache.usage -= freed
     return freed
+
+
+def cache_tree(cache):
+    """The tree below ``cache``'s root as lazy ``(token, pins, subtree)``
+    triples, children in insertion order. A :class:`RadixCache` node's pins
+    are the live leases whose tip it is; a :class:`PathPinningCache` node's
+    are its reference count."""
+    if isinstance(cache, PathPinningCache):
+        def below(node):
+            for tok, child in node.children.items():
+                yield tok, child.ref_count, below(child)
+        return below(cache._root)
+    tips = Counter(lease._tip for lease in cache._leases)
+
+    def below(node):
+        for tok, child in cache._children[node].items():
+            yield tok, tips[child], below(child)
+    return below(0)
 
 
 class _PathNode:
@@ -188,7 +214,22 @@ class PathPinningCache:
         lease.released = True
 
     def flush(self) -> int:
-        return ref_flush(self)
+        """Evict every unreferenced childless node in depth-first post-order."""
+        freed = 0
+        stack = [(self._root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((child, False) for child in node.children.values())
+                continue
+            for tok in list(node.children):
+                child = node.children[tok]
+                if child.ref_count == 0 and not child.children:
+                    del node.children[tok]
+                    freed += 1
+        self.usage -= freed
+        return freed
 
     def _reserve(self, need: int, protect) -> None:
         if need <= self.budget - self.usage:

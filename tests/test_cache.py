@@ -1,5 +1,7 @@
 """Radix cache: leases, budget pressure, reclamation, double-free."""
 
+import gc
+
 import pytest
 
 from paratrace import BudgetExceeded, DoubleRelease, RadixCache
@@ -116,6 +118,23 @@ class TestRelease:
         with pytest.raises(DoubleRelease):
             cache.extend(lease, "b")
 
+    def test_lease_from_another_cache_is_refused(self):
+        """A lease is live only in the registry of the cache that made it:
+        another cache refuses to extend or release it, and both caches stay
+        whole."""
+        a, b = RadixCache(budget=10), RadixCache(budget=10)
+        lease = a.match_and_insert(["x", "y"])
+        with pytest.raises(DoubleRelease):
+            b.release(lease)
+        with pytest.raises(DoubleRelease):
+            b.extend(lease, "z")
+        a.check_integrity()
+        b.check_integrity()
+        assert (a.usage, b.usage, len(lease)) == (2, 0, 2)
+        assert a.extend(lease, "z") == 1
+        a.release(lease)
+        a.check_integrity()
+
 
 class TestExtend:
     def test_extend_inserts_and_shares(self):
@@ -220,14 +239,25 @@ class TestLongLease:
 
 
 class TestIntegrity:
-    """Every reference count is at least 0, and they sum to the live leases."""
+    """Every id is in the tree or free, once; each child entry agrees with
+    the child's parent and token links; usage counts the tree's nodes; and
+    each live lease's tip is a node at the lease's depth."""
+
+    @staticmethod
+    def _freed_tip(cache, lease):
+        dead = cache.match_and_insert(["d", "e"])
+        tip = dead._tip
+        cache.release(dead)
+        assert cache.flush() == 2
+        lease._tip = tip
 
     @pytest.mark.parametrize("corrupt", [
-        lambda cache, lease: setattr(lease._tip.parent, "ref_count", 1),
-        lambda cache, lease: setattr(lease._tip, "ref_count", 0),
-        lambda cache, lease: setattr(cache._root, "ref_count", -1),
-    ], ids=["extra-pin", "dropped-pin", "negative"])
-    def test_corrupt_pins_are_caught(self, corrupt):
+        _freed_tip,
+        lambda cache, lease: cache._parent.__setitem__(lease._tip, 0),
+        lambda cache, lease: cache._token.__setitem__(lease._tip, "z"),
+        lambda cache, lease: setattr(cache, "usage", cache.usage + 1),
+    ], ids=["freed-tip", "parent-link", "token-link", "usage-off"])
+    def test_corrupt_tables_are_caught(self, corrupt):
         cache = RadixCache(budget=10)
         lease = cache.match_and_insert(["a", "b", "c"])
         cache.match_and_insert([])
@@ -235,3 +265,22 @@ class TestIntegrity:
         corrupt(cache, lease)
         with pytest.raises(AssertionError):
             cache.check_integrity()
+
+
+class TestCollector:
+    def test_nodes_add_no_tracked_objects(self):
+        """Filling a lease with 10,000 tokens leaves as many objects tracked
+        by the cyclic collector as filling one with 100."""
+        def added(n):
+            cache = RadixCache(budget=n)
+            tokens = [f"t{i}" for i in range(n)]
+            gc.collect()
+            before = len(gc.get_objects())
+            lease = cache.match_and_insert(tokens[:n // 2])
+            for token in tokens[n // 2:]:
+                cache.extend(lease, token)
+            gc.collect()
+            assert cache.usage == n
+            return len(gc.get_objects()) - before
+
+        assert abs(added(10_000) - added(100)) <= 4

@@ -16,6 +16,7 @@ from paratrace import (BranchState, BudgetExceeded, EmissionLogView, IllegalSche
 from paratrace.engine import SCHEDULES
 from conftest import E1, line_events, python_calls
 from reference_engine import ref_generation
+from reference_rl import cache_tree
 
 
 def e1_policy() -> ScriptedPolicy:
@@ -106,7 +107,7 @@ class TestReplay:
 
         # The main lease pins the whole prologue, so a branch lease matches
         # all of it: it inserts nothing and never flushes, even when a second
-        # run finds the cache full of the first run's unreferenced nodes.
+        # run finds the cache full of the first run's unpinned nodes.
         branch_leases = []
 
         class RecordingCache(RadixCache):
@@ -531,10 +532,10 @@ class _SeeingPolicy(ScriptedPolicy):
         return super().next_token(branch_id, position, context)
 
 
-def _tree(node):
-    """A cache subtree as ``(token, ref_count, subtree)`` triples, children
-    in insertion order."""
-    return [(tok, child.ref_count, _tree(child)) for tok, child in node.children.items()]
+def _tree(nodes):
+    """A cache tree read by ``cache_tree`` as nested ``(token, pins,
+    subtree)`` triples, children in insertion order."""
+    return [(tok, pins, _tree(subtree)) for tok, pins, subtree in nodes]
 
 
 def _outcome(generate, script, cache, ledger, strict, schedule):
@@ -549,7 +550,7 @@ def _outcome(generate, script, cache, ledger, strict, schedule):
     except Exception as exc:  # noqa: BLE001 - the type is compared
         result = type(exc)
     return (result, ledger.timeline, cache.usage, cache.flush_count,
-            _tree(cache._root), policy.seen)
+            _tree(cache_tree(cache)), policy.seen)
 
 
 def _engine(policy, cache, ledger, strict, schedule):
@@ -616,20 +617,34 @@ def test_reference_comparison_reaches_every_outcome():
     assert {"flush", "truncate", "reject", "BudgetExceeded"} <= seen
 
 
+def _four_branches(n: int) -> ScriptedPolicy:
+    """Four branches of ``n`` tokens each, every branch token distinct."""
+    return ScriptedPolicy(
+        ["<guideline>", *[t for j in range(4) for t in ("<plan>", f"{j}:", "</plan>")],
+         "</guideline>"],
+        {str(j): ["<step>", *[f"b{j}w{i}" for i in range(n)], "</step>"] for j in range(4)},
+        ["<takeaway>", "t", "</takeaway>"])
+
+
 def test_a_branch_token_costs_at_most_four_python_calls():
     """Four branches, each 200 tokens longer, on a cache that already holds
     every path: the extra Python-level calls per extra branch token are the
     policy's ``next_token``, the context view and the cache's ``extend``,
     plus a share of the round's ``charge``."""
     def calls(n):
-        policy = ScriptedPolicy(
-            ["<guideline>", *[t for j in range(4) for t in ("<plan>", f"{j}:", "</plan>")],
-             "</guideline>"],
-            {str(j): ["<step>", *[f"b{j}w{i}" for i in range(n)], "</step>"]
-             for j in range(4)},
-            ["<takeaway>", "t", "</takeaway>"])
+        policy = _four_branches(n)
         cache = RadixCache(1 << 16)
         run_generation(policy, cache, TokenLedger(1 << 16))
+        return python_calls(lambda: run_generation(policy, cache, TokenLedger(1 << 16)))
+
+    assert (calls(300) - calls(100)) / (4 * 200) <= 4
+
+
+def test_a_cold_branch_token_costs_at_most_four_python_calls():
+    """The same four branches on a fresh cache, so every branch token inserts
+    a slot: inserting one makes no further Python-level call."""
+    def calls(n):
+        policy, cache = _four_branches(n), RadixCache(1 << 16)
         return python_calls(lambda: run_generation(policy, cache, TokenLedger(1 << 16)))
 
     assert (calls(300) - calls(100)) / (4 * 200) <= 4

@@ -1,8 +1,8 @@
 """The RL step's fast paths against their references, and its record types.
 
-The array-form clipped and frozen-reference surrogates, the reverse
-breadth-first cache flush and the cache's tip-only pins are compared with
-the forms kept in ``reference_rl.py``. The record
+The array-form clipped and frozen-reference surrogates, the cache's
+mark-and-free flush and its tip-only pins are compared with the forms kept
+in ``reference_rl.py``. The record
 types the engine and the ledger hand out keep their public contract
 whatever their implementation: the logs store plain tuples, and each read
 builds the records.
@@ -26,7 +26,7 @@ from paratrace import (BudgetExceeded, DoubleRelease, GenerationEvent, IllegalSc
                        dapo_surrogate, papo_group_values, papo_surrogate,
                        papo_surrogate_frozen, run_generation)
 from paratrace.advantages import CLIP_HIGH, CLIP_LOW, EPSILON
-from reference_rl import (PathPinningCache, ref_dapo_surrogate, ref_flush,
+from reference_rl import (PathPinningCache, cache_tree, ref_dapo_surrogate, ref_flush,
                           ref_group_advantages, ref_papo_surrogate_frozen)
 
 # -- advantage normalizer ---------------------------------------------------
@@ -148,15 +148,18 @@ def test_papo_surrogate_frozen_matches_scalar_reference(case):
 
 # -- cache ------------------------------------------------------------------
 
-def tree_snapshot(cache: RadixCache) -> list[tuple[int, str, int]]:
-    """(depth, token, ref_count) of every node in pre-order, children in
+def tree_snapshot(cache) -> list[tuple[int, str, int]]:
+    """(depth, token, pins) of every node in pre-order, children in
     insertion order: the tree's shape, token paths, order and pins."""
     out = []
-    stack = [(child, 1) for child in reversed(cache._root.children.values())]
+    stack = [cache_tree(cache)]
     while stack:
-        node, depth = stack.pop()
-        out.append((depth, node.token, node.ref_count))
-        stack.extend((child, depth + 1) for child in reversed(node.children.values()))
+        for token, pins, subtree in stack[-1]:
+            out.append((len(stack), token, pins))
+            stack.append(subtree)
+            break
+        else:
+            stack.pop()
     return out
 
 
@@ -223,15 +226,28 @@ def test_flush_matches_post_order_reference(budget, ops):
     assert tree_snapshot(fast) == tree_snapshot(ref)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.lists(OP, max_size=60))
+def test_id_tables_stay_within_budget_plus_one(budget, ops):
+    """Freed ids are reused: whatever the inserts, extends, releases and
+    flushes, the cache's id tables hold at most ``budget + 1`` entries."""
+    cache = RadixCache(budget)
+    leases = ([], [])
+    for op in ops:
+        apply(cache, *leases, op)
+        assert max(map(len, (cache._children, cache._parent, cache._token))) <= budget + 1
+
+
 def pinned_paths(cache) -> set[tuple[str, ...]]:
     """Token paths of the pinned nodes below the root."""
     out = set()
-    stack = [(child, (child.token,)) for child in cache._root.children.values()]
+    stack = [(cache_tree(cache), ())]
     while stack:
-        node, path = stack.pop()
-        if node.ref_count:
-            out.add(path)
-        stack.extend((child, path + (child.token,)) for child in node.children.values())
+        nodes, path = stack.pop()
+        for token, pins, subtree in nodes:
+            if pins:
+                out.add(path + (token,))
+            stack.append((subtree, path + (token,)))
     return out
 
 
