@@ -49,7 +49,9 @@ class TokenLedger:
         """
         if active_branches < 1:
             raise ValueError("active_branches must be >= 1")
-        accepted = min(active_branches, self.remaining)
+        accepted = self.max_new_tokens - self.charged
+        if active_branches < accepted:
+            accepted = active_branches
         self.charged += accepted
         self._timeline.append((len(self._timeline), active_branches, accepted))
         return accepted

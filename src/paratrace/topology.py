@@ -1,10 +1,12 @@
 """Parallel attention-mask and position-id construction.
 
-The mask, the position ids and the topology stats each come from one tag
-scan, which a validator pass gates and one walk then reads. Sibling step
-regions of a block are mutually blocked in the mask, and their position ids
-all restart one past the guideline close, so a document's decode depth is
-``max(position) + 1`` instead of its token count.
+The mask, the position ids and the topology stats all come from one walk
+over the tags: one tag scan, which a validator pass gates and the walk then
+reads. The last walk is kept with its token sequence, so the builders called
+in turn on equal tokens share one walk. Sibling step regions of a block are
+mutually blocked in the mask, and their position ids all restart one past
+the guideline close, so a document's decode depth is ``max(position) + 1``
+instead of its token count.
 
 Step regions include their opening and closing step tags: the close tag
 occupies a position inside the step's extent, so it must be isolated along
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import permutations
-from operator import itemgetter
+from itertools import chain, permutations
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -144,26 +146,40 @@ class _TopoFrame:
         self.l_max = 0
 
 
-def _walk(texts):
-    """Scan the tags of ``texts`` once, gate them on the validator, then walk them.
+# The last successful walk: its token sequence as a tuple, and its result.
+_kept: tuple = (None, None)
 
-    ``texts`` is a list or tuple of ``str``, read in place; the validator
-    reads the same scan as the walk. Returns
-    ``(steps, positions, blocks)``, with each block's sibling
-    step spans as ``(start, end)`` pairs and its :class:`BlockStats`, blocks
-    in join order. A step open restarts positions one past the guideline
-    close and the takeaway resumes one past the longest step; between such
-    shifts positions rise by one per token, so each run is one ``range``.
+
+def _walk(texts):
+    """The structure of ``texts``: one tag scan, gated on the validator, then walked.
+
+    ``texts`` is a list or tuple of ``str``; its references are copied into
+    one tuple, which the scan, the validator and the walk read, and which is
+    kept as the key of the result. A call on an equal sequence returns the
+    kept result with no scan, no gate and no walk; a walk that raises
+    :class:`StructureError` is not kept. Returns ``(groups, runs, blocks)``,
+    all immutable: ``groups`` holds, for each block of two or more steps,
+    its sibling step spans as ``(start, end)`` pairs; ``runs`` the position
+    ids as consecutive non-empty ``range`` runs; and ``blocks`` each block's
+    :class:`BlockStats`, blocks in join order. A step open restarts
+    positions one past the guideline close and the takeaway resumes one past
+    the longest step; between such shifts positions rise by one per token,
+    so each run is one ``range``.
     """
-    events = tag_scan(texts)
-    for v in validate_structure(texts, events=events).violations:
+    global _kept
+    key = tuple(texts)
+    kept_key, kept = _kept
+    if key == kept_key:
+        return kept
+    events = tag_scan(key)
+    for v in validate_structure(key, events=events).violations:
         if v.category == 1:
             raise StructureError(f"tag structure broken: {v.message}", v.index)
     stack: list[_TopoFrame] = []
-    steps: list[list[tuple[int, int]]] = []
+    groups: list[tuple[tuple[int, int], ...]] = []
     blocks: list[BlockStats] = []
-    pos: list[int] = []
-    shift = 0  # pos[i] == i + shift within the current run
+    runs: list[range] = []
+    start = shift = 0  # the current run holds i + shift for i from start on
     for i, tag in zip(*events):
         if tag is GUIDELINE_OPEN:
             stack.append(_TopoFrame())
@@ -172,20 +188,23 @@ def _walk(texts):
         elif tag is STEP_OPEN:
             top = stack[-1]
             top.open_step = i
-            pos += range(len(pos) + shift, i + shift)
-            shift = top.p_end + 1 - i
+            runs.append(range(start + shift, i + shift))
+            start, shift = i, top.p_end + 1 - i
         elif tag is STEP_CLOSE:
             top = stack[-1]
             top.steps.append((top.open_step, i + 1))
             top.l_max = max(top.l_max, i + shift - top.p_end)
         elif tag is TAKEAWAY_OPEN:
             top = stack.pop()
-            steps.append(top.steps)
+            if len(top.steps) > 1:
+                groups.append(tuple(top.steps))
             blocks.append(BlockStats(len(top.steps), top.l_max))
-            pos += range(len(pos) + shift, i + shift)
-            shift = top.p_end + top.l_max + 1 - i
-    pos += range(len(pos) + shift, len(texts) + shift)
-    return steps, pos, blocks
+            runs.append(range(start + shift, i + shift))
+            start, shift = i, top.p_end + top.l_max + 1 - i
+    runs.append(range(start + shift, len(key) + shift))
+    result = tuple(groups), tuple(filter(None, runs)), tuple(blocks)
+    _kept = key, result
+    return result
 
 
 def build_attention_mask(tokens) -> AttentionMask:
@@ -195,7 +214,7 @@ def build_attention_mask(tokens) -> AttentionMask:
     walk's step groups (blocks of one step block nothing), so building it is
     linear in the trace length."""
     mask = AttentionMask(len(tokens))
-    mask._groups = [group for group in _walk(tokens)[0] if len(group) > 1]
+    mask._groups = _walk(tokens)[0]
     return mask
 
 
@@ -224,9 +243,9 @@ def build_position_ids(tokens) -> list[int]:
     """Parallel position ids over one structural pass.
 
     Sibling steps all restart one past their guideline close, and the
-    takeaway sits one past the longest step.
+    takeaway sits one past the longest step. Each call returns a new list.
     """
-    return _walk(tokens)[1]
+    return list(chain.from_iterable(_walk(tokens)[1]))
 
 
 @dataclass(frozen=True)
@@ -260,13 +279,13 @@ def topology_stats(tokens) -> TopologyStats:
     The compression ratio (total tokens over critical path) is the simulated
     speedup of parallel decode relative to left-to-right decode.
     """
-    _, pos, blocks = _walk(tokens)
+    _, runs, blocks = _walk(tokens)
     if not tokens:
         return TopologyStats(0, 0, 1.0, ())
-    critical = max(pos) + 1
+    critical = max(map(attrgetter("stop"), runs))
     return TopologyStats(
         total_tokens=len(tokens),
         critical_path=critical,
         compression_ratio=len(tokens) / critical,
-        blocks=tuple(blocks),
+        blocks=blocks,
     )

@@ -162,6 +162,20 @@ class TestPapoSurrogate:
             expect = -sum(a * len(s) for a, s in zip(advs, streams)) / total
             assert loss == pytest.approx(expect, rel=1e-12)
 
+    def test_value_is_the_per_token_sum_in_order(self):
+        """The loss adds the per-token advantages left to right, bit for bit."""
+        rng = random.Random(8)
+        for _ in range(50):
+            streams = [[-0.5] * rng.randint(0, 9) for _ in range(rng.randint(1, 5))]
+            if not any(streams):
+                streams.append([-0.5])
+            advs = [rng.uniform(-3, 3) if rng.random() < 0.5
+                    else [rng.uniform(-3, 3) for _ in s] for s in streams]
+            loss, _ = papo_surrogate(streams, advs)
+            per_token = (a for adv, s in zip(advs, streams)
+                         for a in (adv if isinstance(adv, list) else [adv] * len(s)))
+            assert loss == -sum(per_token) / sum(map(len, streams))
+
     def test_gradient_matches_finite_differences(self):
         rng = random.Random(7)
         streams = [[rng.uniform(-2, -0.1) for _ in range(3)] for _ in range(2)]

@@ -1,16 +1,25 @@
 """Mask and position-id construction, oracle equivalence, exports."""
 
+import importlib.util
+import json
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paratrace import (AttentionMask, StructureError, build_attention_mask,
-                       build_position_ids, mask_from_spans_oracle, topology_stats)
+                       build_position_ids, corrupt, mask_from_spans_oracle,
+                       random_valid_document, topology_stats)
+from paratrace import tags, topology
 from paratrace.topology import DENSE_LIMIT
-from conftest import (E1, E1_POSITIONS, assert_topology_invariants,
-                      e1_expected_mask, make_corpus)
+from conftest import (E1, E1_FULL, E1_POSITIONS, assert_topology_invariants,
+                      e1_expected_mask, line_events, make_corpus)
+from reference_structure import ref_attention_mask, ref_position_ids, ref_topology_stats
 
 
 class TestPositions:
@@ -232,3 +241,151 @@ def test_builder_scans_its_tokens_once(builder, e1):
     tokens = CountingList(e1)
     builder(tokens)
     assert tokens.iterations == 1
+
+
+# -- the shared walk ----------------------------------------------------------
+
+def mask_views(mask) -> tuple:
+    """The rectangles, the coords JSON and, up to 300 tokens, the dense bytes."""
+    dense = mask.to_dense_bytes() if mask.length <= 300 else None
+    return mask.blocked, json.dumps(mask.to_coords_dict()), dense
+
+
+BUILDERS = {
+    "mask": (lambda t: mask_views(build_attention_mask(t)),
+             lambda t: mask_views(ref_attention_mask(t))),
+    "positions": (build_position_ids, ref_position_ids),
+    "stats": (topology_stats, ref_topology_stats),
+}
+
+
+def outcome(fn, tokens):
+    try:
+        return fn(tokens)
+    except StructureError as exc:
+        return ("StructureError", exc.index, str(exc))
+
+
+def assert_builds_like_reference(name: str, tokens) -> None:
+    built, reference = BUILDERS[name]
+    assert outcome(built, tokens) == outcome(reference, tokens), (name, tokens)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The lengths of the sequences walked since the test began, in order:
+    every walk makes exactly one tag scan."""
+    walked = []
+
+    def counting_scan(texts):
+        walked.append(len(texts))
+        return tags.tag_scan(texts)
+    monkeypatch.setattr(topology, "tag_scan", counting_scan)
+    build_position_ids(["a", "b"])  # walk some other sequence first
+    walked.clear()
+    return walked
+
+
+class TestSharedWalk:
+    def test_three_builders_make_one_walk(self, walks, e1_full):
+        for name in BUILDERS:
+            assert_builds_like_reference(name, e1_full)
+        assert walks == [len(E1_FULL)]
+
+    def test_each_edit_forces_a_new_walk(self, walks, e1):
+        tokens = e1
+        assert_builds_like_reference("stats", tokens)
+        tokens[10] = "beta"  # replaced in place: the length holds
+        assert_builds_like_reference("positions", tokens)
+        tokens.append("\\boxed{1}")
+        assert_builds_like_reference("mask", tokens)
+        del tokens[2]
+        assert_builds_like_reference("stats", tokens)
+        assert walks == [18, 18, 19, 18]
+        for name in BUILDERS:
+            assert_builds_like_reference(name, list(tokens))
+        assert walks == [18, 18, 19, 18], "an equal list reuses the kept walk"
+
+    def test_returned_results_are_not_shared(self, walks, e1):
+        positions = build_position_ids(e1)
+        positions[0] = 99
+        positions.append(5)
+        assert build_position_ids(list(E1)) == E1_POSITIONS
+        first, second = build_attention_mask(e1), build_attention_mask(list(E1))
+        assert first.to_dense_bytes() == second.to_dense_bytes()
+        assert first.to_coords_dict() == second.to_coords_dict()
+        first.dense()[:] = False
+        assert mask_views(second) == mask_views(build_attention_mask(e1)) \
+            == mask_views(ref_attention_mask(E1))
+        assert walks == [len(E1)]
+
+    def test_a_structure_error_is_never_kept(self, walks, e1):
+        broken = ["</step>"] + e1[1:]
+        unclosed = e1[:-1] + ["<step>"]
+        assert len(broken) == len(unclosed) == len(e1)
+        for tokens in (broken, e1, broken, broken, e1, unclosed, e1, unclosed):
+            for name in BUILDERS:
+                assert_builds_like_reference(name, tokens)
+        # Each broken sequence is walked by every builder; the valid one
+        # once, as a failed walk leaves the kept one in place.
+        assert walks == [18] * (3 * 5 + 1)
+
+
+EDIT_TOKENS = sorted(tags.TAGS) + ["w", "\\boxed{7}"]
+
+
+def pool_doc(seed: int) -> list[str]:
+    rng = random.Random(seed)
+    tokens = random_valid_document(rng, max_depth=2)
+    return corrupt(tokens, seed % 6 + 1, rng) if seed % 3 == 0 else tokens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 99), min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.sampled_from([*BUILDERS, "set", "append", "delete", "copy"]),
+                          st.integers(0, 10**6), st.sampled_from(EDIT_TOKENS)),
+                max_size=30))
+def test_builder_calls_between_edits_match_references(seeds, calls):
+    """Builder calls over a small pool of lists, edited in place between calls."""
+    pool = [pool_doc(seed) for seed in seeds]
+    for at, other, op, k, token in calls:
+        tokens = pool[at]
+        if op in BUILDERS:
+            assert_builds_like_reference(op, tokens)
+        elif op == "copy":
+            pool[at] = list(pool[other])
+        elif op == "append":
+            tokens.append(token)
+        elif tokens:
+            if op == "set":
+                tokens[k % len(tokens)] = token
+            else:
+                del tokens[k % len(tokens)]
+
+
+def perfbench_inputs():
+    """The benchmark's seeded trace generators, read from ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_three_builders_cost_about_one_mask_build():
+    """The mask, position ids and stats of one trace, built in turn, cost
+    little more than the mask alone: they share the mask's walk."""
+    inputs = perfbench_inputs()
+    tokens = inputs.long_trace_tokens(random.Random(0), inputs.MIXED_ORDER, 3_000)[0]
+    assert len(tokens) == 3_088
+    build_position_ids(E1)
+    mask_alone = line_events(lambda: build_attention_mask(tokens))
+    build_position_ids(E1)
+    together = line_events(lambda: (build_attention_mask(tokens), build_position_ids(tokens),
+                                    topology_stats(tokens)))
+    assert together <= 1.2 * mask_alone, (together, mask_alone)
