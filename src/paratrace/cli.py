@@ -19,17 +19,18 @@ from . import corpus as corpus_mod
 from .advantages import (EPSILON, dapo_advantage, dynamic_sampling_check,
                          papo_advantage)
 from .cache import RadixCache
-from .document import parse_document
 from .engine import ScriptedPolicy, run_generation
-from .errors import BudgetExceeded, IllegalSchema, InputError, ParseError, StructureError
+from .errors import BudgetExceeded, IllegalSchema, InputError, StructureError
 from .ledger import TokenLedger
 from .metrics import avg_at_k, best_at_k, doc_is_parallel, parallel_rate
 from .rewards import exact_boxed_match, format_reward, stage1_reward, stage3_reward
-# Unused here, but perfbench's tracer wraps it as cli.accept_filter by name.
+# Unused here, but perfbench's tracer wraps both as cli.<name>, by name.
 from .rewards import accept_filter  # noqa: F401
+from .document import parse_document  # noqa: F401
 from .tracefile import (CONFIG, OUTCOME, SCRIPT, SPEC, json_line, read_answers,
                         read_json_object, read_jsonl_numbered, read_rollout_batch,
-                        read_trace, write_file, write_jsonl, write_manifest)
+                        read_trace, remove_file, write_file, write_jsonl,
+                        write_manifest)
 from .topology import DENSE_LIMIT, build_attention_mask, build_position_ids, topology_stats
 from .validation import validate_structure
 
@@ -54,13 +55,6 @@ def _check_file_ids(docs, path, suffix: str) -> None:
                              str(path), lineno)
 
 
-def _doc_pred(tokens) -> str | None:
-    try:
-        return parse_document(tokens).boxed_answer
-    except (ParseError, ValueError):
-        return None
-
-
 # -- subcommands -----------------------------------------------------------
 
 def cmd_validate(args):
@@ -77,17 +71,19 @@ def cmd_validate(args):
 
 def _write_per_document(args, docs, build, encode, subdir: str, suffix: str):
     """One file per document under ``subdir``, holding ``encode(build(tokens))``,
-    plus a ``<command>_status.jsonl`` row per document."""
+    plus a ``<command>_status.jsonl`` row per document. A document whose
+    build fails has its file removed, so no earlier run's file stands in."""
     _check_file_ids(docs, args.trace, suffix)
     status = []
     outputs = []
     for lineno, doc in docs:
         row = {"id": doc["id"], "line": lineno, "ok": True,
                "length": len(doc["tokens"]), "error": None}
+        path = _out(args, subdir, doc["id"] + suffix)
         try:
-            data = encode(build(doc["tokens"]))
-            outputs.append(write_file(_out(args, subdir, doc["id"] + suffix), data))
+            outputs.append(write_file(path, encode(build(doc["tokens"]))))
         except StructureError as exc:
+            remove_file(path)
             row.update(ok=False, error=str(exc))
         status.append(row)
     outputs.append(write_jsonl(_out(args, f"{args.command}_status.jsonl"), status))
@@ -147,7 +143,11 @@ def cmd_simulate(args):
         _apply_config(args)
     cache = RadixCache(args.budget_slots)
     ledger = TokenLedger(args.max_new_tokens)
-    events_path = _out(args, "sim_events.jsonl")
+    doc_path, events_path, stats_path = paths = [
+        _out(args, name) for name in ("sim_document.json", "sim_events.jsonl",
+                                      "sim_stats.json")]
+    for path in paths:  # so an outcome that does not write a file leaves none stale
+        remove_file(path)
     try:
         run = run_generation(policy, cache, ledger, strict_validator=args.strict)
     except IllegalSchema as exc:
@@ -157,10 +157,9 @@ def cmd_simulate(args):
     except BudgetExceeded as exc:
         print(f"simulation aborted: {exc}")
         return EXIT_INVALID, []
-    doc_path = write_file(_out(args, "sim_document.json"),
-                          json_line({"id": "sim", "tokens": run.doc.texts()}))
+    write_file(doc_path, json_line({"id": "sim", "tokens": run.doc.texts()}))
     write_jsonl(events_path, [e.to_json_dict() for e in run.events])
-    stats_path = write_file(_out(args, "sim_stats.json"), json_line({
+    write_file(stats_path, json_line({
         **run.stats.to_json_dict(),
         "decode_steps": run.decode_steps,
         "charged_tokens": ledger.charged,
@@ -169,7 +168,7 @@ def cmd_simulate(args):
     }))
     print(f"simulated {run.stats.total_tokens} tokens in {run.decode_steps} steps "
           f"(speedup {run.stats.compression_ratio:.3f})")
-    return EXIT_OK, [doc_path, events_path, stats_path]
+    return EXIT_OK, paths
 
 
 def cmd_advantage(args):
@@ -228,9 +227,8 @@ def cmd_filter(args):
         gold = gold_by_id.get(doc_id, doc.get("gold"))
         if gold is None:
             raise InputError(f"no gold answer for document {doc_id!r}", args.trace, lineno)
-        pred = _doc_pred(tokens)
         report = validate_structure(tokens, strict=args.strict)
-        correct = exact_boxed_match(pred, gold)
+        correct = exact_boxed_match(report.boxed_answer, gold)
         accepted = correct and report.ok
         rows.append({"id": doc_id, "accepted": accepted, "correct": correct,
                      "format_ok": report.ok})

@@ -95,7 +95,7 @@ def _delete_spans(tokens: list[str], spans) -> list[str]:
     return [t for i, t in enumerate(tokens) if i not in drop]
 
 
-def corrupt(tokens: list[str], category: int, rng: random.Random) -> list[str]:
+def corrupt(tokens: list[str], category: int) -> list[str]:
     """Inject one violation of the given category into a valid document."""
     tokens = list(tokens)
     doc = parse_document(tokens)
@@ -205,7 +205,7 @@ def generate_corpus(spec: CorpusSpec):
         category = None
         if corrupted:
             category = rng.randint(1, 6)
-            tokens = corrupt(tokens, category, rng)
+            tokens = corrupt(tokens, category)
         docs.append({"id": doc_id, "tokens": tokens, "gold": gold})
         keys.append({"id": doc_id, "corrupted": corrupted, "category": category,
                      "gold": gold})

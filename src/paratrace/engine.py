@@ -27,7 +27,7 @@ from .document import ReasoningDoc, parse_document
 from .errors import IllegalSchema, LedgerExhausted
 from .ledger import TokenLedger
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, STEP_CLOSE, STEP_OPEN, TAGS,
-                   TAKEAWAY_CLOSE, TAKEAWAY_OPEN, is_tag, tag_events)
+                   TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events)
 from .topology import TopologyStats, topology_stats
 from .validation import TAG_RULES
 
@@ -37,6 +37,8 @@ CONFLUENCE_BUDGET = 1 << 16  # cache slots and new tokens per confluence run
 
 # The token that closes each opening tag: ``TAGS`` lists each open before its close.
 _CLOSER = dict(zip(TAGS[::2], TAGS[1::2]))
+# ``isdisjoint`` against this set tests a whole stream for tags in C.
+_TAG_SET = frozenset(TAGS)
 
 
 class GenerationEvent(NamedTuple):
@@ -123,13 +125,13 @@ class ScriptedPolicy:
         for bid, stream in self.branches.items():
             if not stream or stream[0] != STEP_OPEN or stream[-1] != STEP_CLOSE:
                 raise ValueError(f"branch {bid!r} must span one step region")
-            if any(map(is_tag, stream[1:-1])):
+            if not _TAG_SET.isdisjoint(stream[1:-1]):
                 raise ValueError(f"branch {bid!r} may contain content tokens only")
         tail = self.takeaway
         if not tail or tail[0] != TAKEAWAY_OPEN or TAKEAWAY_CLOSE not in tail:
             raise ValueError("tail must open and close a takeaway")
         close_at = tail.index(TAKEAWAY_CLOSE)
-        if any(map(is_tag, tail[1:close_at] + tail[close_at + 1:])):
+        if not _TAG_SET.isdisjoint(tail[1:close_at] + tail[close_at + 1:]):
             raise ValueError("tail may contain content tokens only")
 
     @property

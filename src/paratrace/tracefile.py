@@ -173,6 +173,17 @@ def write_file(path, data: bytes) -> Path:
     return path
 
 
+def remove_file(path) -> None:
+    """Remove ``path`` if it is there, so that no earlier run's output stands
+    in for one this run does not write. A path the OS refuses is an
+    :class:`InputError` naming it, as in :func:`write_file`."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot remove stale output ({exc.strerror})",
+                         str(exc.filename or path)) from exc
+
+
 def write_jsonl(path, rows) -> Path:
     return write_file(path, b"".join(map(json_line, rows)))
 

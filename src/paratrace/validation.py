@@ -29,7 +29,7 @@ CATEGORY_NAMES = {
     5: "no_stray_tags",
     6: "boxed_answer",
 }
-CATEGORIES_TOTAL = 6
+CATEGORIES_TOTAL = len(CATEGORY_NAMES)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,16 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """One scan's violations, and the epilogue's ``\\boxed{}`` payload.
+
+    ``boxed_answer`` is None also when the scan found a misplaced
+    ``<guideline>``, a tag out of its ``TAG_RULES`` state or an unclosed
+    block, but not for strict mode's nesting and plan/step flags. So it is
+    ``parse_document(texts).boxed_answer``, None where the parser raises.
+    ``to_json_dict`` leaves it out."""
+
     violations: tuple[Violation, ...]
+    boxed_answer: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -102,11 +111,12 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
 
     ``texts`` is a list or tuple of ``str`` (``Token`` included), read in
     place. With ``strict=True``, nested blocks and plan/step count
-    mismatches are additionally reported as category-1 violations.
-    ``events`` is the ``(index, tag)`` events of ``texts``, when the caller
-    already holds them: the ``(indices, tags)`` lists that
-    :func:`~paratrace.tags.tag_scan` returns for ``texts``, read and not
-    checked against them. Without it the validator makes that scan itself.
+    mismatches are additionally reported as category-1 violations, and the
+    report's ``boxed_answer`` stays the parser's. ``events`` is the
+    ``(index, tag)`` events of ``texts``, when the caller already holds
+    them: the ``(indices, tags)`` lists that :func:`~paratrace.tags.tag_scan`
+    returns for ``texts``, read and not checked against them. Without it the
+    validator makes that scan itself.
     """
     violations: list[Violation] = []
 
@@ -116,6 +126,7 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
     stack: list[_Scan] = []
     scanned: list[_Scan] = []
     last_top_close: int | None = None
+    balanced = True
 
     indices, tags = tag_scan(texts) if events is None else events
     for i, tag in zip(indices, tags):
@@ -127,6 +138,7 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
                 stack.append(_Scan(i))
             else:
                 flag(1, i, "block may only open at top level or inside a step")
+                balanced = False
             continue
         needs, leaves, message = TAG_RULES[tag]
         if top is not None and top.state == needs:
@@ -142,6 +154,7 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
                     last_top_close = i
         else:
             flag(1, i, message)
+            balanced = False
             if top is None:
                 flag(5, i, f"{tag.strip('</>')} tag outside block structure")
 
@@ -161,8 +174,9 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
             flag(1, frame.start, f"strict mode: {frame.plans} plans vs {frame.steps} steps")
 
     epilogue_start = last_top_close + 1 if last_top_close is not None else 0
-    if extract_boxed(" ".join(texts[epilogue_start:])) is None:
+    boxed = extract_boxed(" ".join(texts[epilogue_start:]))
+    if boxed is None:
         flag(6, len(texts), "no boxed answer in the epilogue")
 
     violations.sort(key=lambda v: (v.index, v.category))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations), boxed if balanced and not stack else None)

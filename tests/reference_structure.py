@@ -7,7 +7,8 @@ open. They are slow but plainly correct, and share no code with the
 production walk in :mod:`paratrace.topology`. The regex tokenizer is the
 earlier ``tokenize`` rule. The validator and the simulator's header gate are
 the earlier hand-coded state machines, one branch per tag, copied unchanged
-apart from their names; production reads both from one rule table.
+apart from their names and the validator's boxed answer; production reads
+both from one rule table.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ def ref_validate_structure(texts: list[str] | tuple[str, ...],
 
     ``texts`` is a list or tuple of ``str`` (``Token`` included), read in
     place. With ``strict=True``, nested blocks and plan/step count
-    mismatches are additionally reported as category-1 violations.
+    mismatches are additionally reported as category-1 violations. The
+    report's ``boxed_answer`` is the epilogue's payload when the lenient
+    scan flags no category-1 violation, and None otherwise.
     """
     violations: list[Violation] = []
 
@@ -237,11 +240,16 @@ def ref_validate_structure(texts: list[str] | tuple[str, ...],
                  f"strict mode: {frame.plan_count} plans vs {frame.step_count} steps")
 
     epilogue_start = last_top_close + 1 if last_top_close is not None else 0
-    if extract_boxed(" ".join(texts[epilogue_start:])) is None:
+    boxed = extract_boxed(" ".join(texts[epilogue_start:]))
+    if boxed is None:
         flag(6, len(texts), "no boxed answer in the epilogue")
 
     violations.sort(key=lambda v: (v.index, v.category))
-    return ValidationReport(tuple(violations))
+    # The answer stands when the lenient scan flags no category 1: strict
+    # mode's extra category-1 flags are read from a second, lenient scan.
+    lenient = ref_validate_structure(texts).violations if strict else violations
+    balanced = all(v.category != 1 for v in lenient)
+    return ValidationReport(tuple(violations), boxed if balanced else None)
 
 
 def ref_validate_header(prologue, n_branches: int, strict: bool) -> str | None:

@@ -120,6 +120,21 @@ class TestMaskPosid:
         status = {r["id"]: r for r in read_jsonl(out / "mask_status.jsonl")}
         assert status["broken"]["error"]
 
+    @pytest.mark.parametrize("command, name", [("mask", "masks/a.mask.json"),
+                                               ("posid", "positions/a.pos.json")])
+    def test_failed_document_leaves_no_earlier_file(self, tmp_path, command, name):
+        """A document that fails now has no file, even where an earlier run
+        into the same directory built one for its id."""
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"id": "a", "tokens": E1_FULL}])
+        write_jsonl(bad, [{"id": "a", "tokens": E1[:-1]}])
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, command, good) == 0
+        assert (out / name).exists()
+        assert run_cli("--output-dir", out, command, bad) == 1
+        assert not (out / name).exists()
+        assert read_jsonl(out / f"{command}_status.jsonl")[0]["ok"] is False
+
     def test_posid_artifacts(self, tmp_path, trace_file):
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "posid", trace_file) == 0
@@ -231,7 +246,9 @@ class TestSimulate:
             emitted.append(sum(1 for e in events if e["kind"] == "emit"))
         assert emitted == sorted(emitted)
 
-    def test_rejected_header_exits_one(self, tmp_path):
+    def test_rejected_header_exits_one(self, tmp_path, script_file):
+        """A rejected run writes its events, and leaves no earlier run's
+        document or stats in its output directory."""
         script = tmp_path / "bad.json"
         script.write_text(json.dumps({
             "prologue": ["<guideline>", "</guideline>"],
@@ -239,9 +256,11 @@ class TestSimulate:
             "takeaway": ["<takeaway>", "</takeaway>"],
         }))
         out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "simulate", script_file) == 0
         assert run_cli("--output-dir", out, "simulate", script) == 1
         events = read_jsonl(out / "sim_events.jsonl")
         assert any(e["kind"] == "reject" for e in events)
+        assert [p.name for p in out.iterdir()] == ["sim_events.jsonl"]
 
     @pytest.mark.parametrize("branch", [["alpha"], ["<step>", "a", "</step>", "b"]])
     def test_branch_outside_one_step_region_is_an_input_error(self, tmp_path, capsys,
@@ -253,6 +272,41 @@ class TestSimulate:
         assert run_cli("--output-dir", tmp_path / "out", "simulate", script) == 2
         err = capsys.readouterr().err
         assert "must span one step region" in err and err.rstrip().endswith(f"[{script}]")
+        assert not (tmp_path / "out").exists()
+
+    def test_aborted_run_leaves_no_outputs(self, tmp_path, capsys, script_file):
+        """A run the cache cannot hold exits 1. It creates no output
+        directory, and removes an earlier run's outputs from one."""
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "simulate", script_file,
+                       "--budget-slots", 2) == 1
+        assert "simulation aborted" in capsys.readouterr().out
+        assert not out.exists()
+        assert run_cli("--output-dir", out, "simulate", script_file) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sim_document.json", "sim_events.jsonl", "sim_stats.json"]
+        assert run_cli("--output-dir", out, "simulate", script_file,
+                       "--budget-slots", 2) == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("prologue", [], "script prologue is empty"),
+        ("branches", {"1": ["<step>", "<plan>", "</step>"]},
+         "branch '1' may contain content tokens only"),
+        ("takeaway", ["t", "</takeaway>"], "tail must open and close a takeaway"),
+        ("takeaway", ["<takeaway>", "t"], "tail must open and close a takeaway"),
+        ("takeaway", ["<takeaway>", "<step>", "</takeaway>"],
+         "tail may contain content tokens only"),
+        ("takeaway", ["<takeaway>", "</takeaway>", "<plan>"],
+         "tail may contain content tokens only"),
+    ])
+    def test_script_refusal_is_an_input_error(self, tmp_path, capsys, script_file,
+                                              field, value, message):
+        script = tmp_path / "bad.json"
+        script.write_text(json.dumps({**json.loads(script_file.read_text()), field: value}))
+        assert run_cli("--output-dir", tmp_path / "out", "simulate", script) == 2
+        err = capsys.readouterr().err
+        assert f"bad script: {message}" in err and err.rstrip().endswith(f"[{script}]")
         assert not (tmp_path / "out").exists()
 
     def test_illegal_header_refused_at_every_budget(self, tmp_path):
@@ -468,16 +522,58 @@ class TestRewardAndFilter:
                        "--answers", answers) == 2
         assert f"{answers}:3" in capsys.readouterr().err
 
-    def test_filter_strict_rejects_plan_step_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("tokens", [
+        E1_FULL[:7] + ["<plan>", "3:", "</plan>"] + E1_FULL[7:],
+        E1_FULL[:11] + ["<guideline>", "<plan>", "a", "</plan>", "</guideline>",
+                        "<step>", "a", "</step>", "<takeaway>", "t", "</takeaway>"]
+        + E1_FULL[11:],
+    ], ids=["plan-step-mismatch", "nested"])
+    def test_filter_strict_rejects_what_the_parser_accepts(self, tmp_path, tokens):
+        """Strict mode fails the format of a document the parser reads, and
+        ``correct`` is still the parser's answer against the gold."""
         trace = tmp_path / "t.jsonl"
-        mismatched = E1_FULL[:7] + ["<plan>", "3:", "</plan>"] + E1_FULL[7:]
-        write_jsonl(trace, [{"id": "m", "tokens": mismatched, "gold": "42"}])
+        write_jsonl(trace, [{"id": "m", "tokens": tokens, "gold": "42"}])
+        assert parse_document(tokens).boxed_answer == "42"
         for flags, accepted in (((), True), (("--strict",), False)):
             out = tmp_path / str(accepted)
             assert run_cli("--output-dir", out, "filter", trace, *flags) == 0
             row = read_jsonl(out / "filter_report.jsonl")[0]
             assert row == {"id": "m", "accepted": accepted, "correct": True,
                            "format_ok": accepted}
+
+    def test_filter_never_parses(self, tmp_path, monkeypatch):
+        """filter predicts from the validator's report: with the CLI's parser
+        made to fail, every artifact is the same, and each row's ``correct``
+        is the parser's answer against the gold."""
+        corpus = tmp_path / "corpus"
+        assert run_cli("--seed", 3, "--output-dir", corpus, "gen-corpus",
+                       "--docs", 60, "--corruption", 0.5) == 0
+        trace = corpus / "corpus.jsonl"
+
+        def artifacts(name):
+            got = []
+            for flags in ((), ("--strict",)):
+                out = tmp_path / name / str(len(flags))
+                assert run_cli("--output-dir", out, "filter", trace, *flags) == 0
+                got += [(out / f).read_bytes()
+                        for f in ("filter_report.jsonl", "accepted.jsonl")]
+            return got
+
+        want = artifacts("parsing")
+
+        def refuse(tokens):
+            raise AssertionError("filter parsed a document")
+        monkeypatch.setattr(paratrace.cli, "parse_document", refuse)
+        assert artifacts("refusing") == want
+        monkeypatch.undo()
+        rows = read_jsonl(tmp_path / "refusing" / "0" / "filter_report.jsonl")
+        for doc, row in zip(read_jsonl(trace), rows):
+            try:
+                pred = parse_document(doc["tokens"]).boxed_answer
+            except ParseError:
+                pred = None
+            assert row["correct"] == (pred == doc["gold"])
+        assert 0 < sum(r["correct"] for r in rows) < len(rows)
 
 
 class TestMetrics:
@@ -503,7 +599,7 @@ class TestMetrics:
                  "<step>", "1:", "a", "</step>", "<takeaway>", "t", "</takeaway>"]]
         for _ in range(40):
             doc = random_valid_document(rng, max_depth=2)
-            docs.append(corrupt(doc, rng.randint(1, 6), rng) if rng.random() < 0.5 else doc)
+            docs.append(corrupt(doc, rng.randint(1, 6)) if rng.random() < 0.5 else doc)
         trace = tmp_path / "trace.jsonl"
         write_jsonl(trace, [{"id": str(i), "tokens": d} for i, d in enumerate(docs)])
         outcomes = tmp_path / "outcomes.jsonl"

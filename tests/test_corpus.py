@@ -48,7 +48,7 @@ def test_corruption_hits_target_category():
         for trial in range(10):
             tokens = random_valid_document(rng, max_depth=1, answer="z",
                                            pair_plans_with_steps=True)
-            bad = corrupt(tokens, category, rng)
+            bad = corrupt(tokens, category)
             report = validate_structure(bad)
             assert category in report.failed_categories(), (category, bad)
 

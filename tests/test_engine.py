@@ -180,6 +180,24 @@ class TestValidatorGate:
                            ["<takeaway>", "</takeaway>"])
 
 
+class _SilentPolicy(ScriptedPolicy):
+    """Returns no token at all, which no script does for an active branch."""
+
+    def next_token(self, branch_id, position, context=()):
+        return None
+
+
+def test_unknown_schedule_is_refused():
+    with pytest.raises(ValueError, match="unknown schedule 'zigzag'"):
+        run_generation(e1_policy(), *fresh(), schedule="zigzag")
+
+
+def test_policy_returning_no_token_for_an_active_branch_is_refused():
+    silent = _SilentPolicy(E1[:8], {"1": E1[8:12], "2": E1[12:15]}, E1[15:])
+    with pytest.raises(ValueError, match="policy returned no token for active branch '1'"):
+        run_generation(silent, *fresh())
+
+
 # Refused by the header gate (content before the guideline open), and with a
 # budget of one token only the "x" is emitted before the ledger runs dry.
 ILLEGAL_HEADER = ["x", "<guideline>", "<plan>", "1:", "</plan>", "</guideline>"]

@@ -39,7 +39,7 @@ def valid_doc(seed: int) -> list[str]:
 
 
 def corrupted_doc(seed: int, category: int) -> list[str]:
-    return corrupt(valid_doc(seed), category, random.Random(seed))
+    return corrupt(valid_doc(seed), category)
 
 
 def edited(tokens: list[str], edits) -> list[str]:
@@ -107,6 +107,19 @@ def test_validator_matches_reference(tokens):
         want = ref_validate_structure(tokens, strict)
         assert validate_structure(tokens, strict) == want
         assert validate_structure(tokens, strict, events=tag_scan(tokens)) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(documents)
+def test_report_answer_is_the_parsers(tokens):
+    """The report's boxed answer is the parser's, in both modes, and None
+    where the parser raises: filter predicts from it and never parses."""
+    try:
+        want = parse_document(tokens).boxed_answer
+    except (ParseError, ValueError):
+        want = None
+    for strict in (False, True):
+        assert validate_structure(tokens, strict).boxed_answer == want
 
 
 def header(plans: int, edits) -> list[str]:

@@ -337,7 +337,7 @@ EDIT_TOKENS = sorted(tags.TAGS) + ["w", "\\boxed{7}"]
 def pool_doc(seed: int) -> list[str]:
     rng = random.Random(seed)
     tokens = random_valid_document(rng, max_depth=2)
-    return corrupt(tokens, seed % 6 + 1, rng) if seed % 3 == 0 else tokens
+    return corrupt(tokens, seed % 6 + 1) if seed % 3 == 0 else tokens
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
