@@ -98,10 +98,9 @@ class RadixCache:
         lease = CacheLease(node, matched)
         self._leases[lease] = None
         # The slots are reserved, so growing the lease cannot flush. The base
-        # class's ``extend`` is called so that a subclass overriding it sees
-        # only its own callers' tokens.
-        for tok in tokens[matched:]:
-            RadixCache.extend(self, lease, tok)
+        # class's ``extend_run`` is called so that a subclass overriding it
+        # sees only its own callers' tokens.
+        RadixCache.extend_run(self, lease, tokens[matched:])
         return lease
 
     def extend(self, lease: CacheLease, token: str) -> int:
@@ -135,6 +134,44 @@ class RadixCache:
         lease._length += 1
         lease.new_slots += 1
         return 1
+
+    def extend_run(self, lease: CacheLease, tokens) -> int:
+        """Grow a lease by a sequence of tokens exactly as one :meth:`extend`
+        per token would: the same flushes and refusal, and the summed return."""
+        if tokens and lease not in self._leases:
+            raise DoubleRelease("cannot extend a lease this cache does not hold")
+        children, parent, token_of, free = self._children, self._parent, self._token, self._free
+        node, usage, added, done = lease._tip, self.usage, 0, 0
+        try:
+            for tok in tokens:
+                kids = children[node]
+                child = kids.get(tok)
+                if child is None:
+                    if usage >= self.budget:
+                        # The tip pins ``node``; a flush that frees nothing raises.
+                        lease._tip, self.usage = node, usage
+                        self._reserve(1)
+                        usage, free = self.usage, self._free
+                    if free:
+                        child = free.pop()
+                        children[child] = {}
+                        parent[child] = node
+                        token_of[child] = tok
+                    else:
+                        child = len(parent)
+                        children.append({})
+                        parent.append(node)
+                        token_of.append(tok)
+                    kids[tok] = child
+                    usage += 1
+                    added += 1
+                node = child
+                done += 1
+        finally:
+            lease._tip, self.usage = node, usage
+            lease._length += done
+            lease.new_slots += added
+        return added
 
     def release(self, lease: CacheLease) -> None:
         """Unpin a lease. A lease this cache does not hold, because it was

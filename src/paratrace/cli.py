@@ -44,13 +44,18 @@ def _out(args, *parts) -> Path:
     return Path(args.output_dir).joinpath(*parts)
 
 
+def _fits(name: str) -> bool:
+    """Whether ``name`` fits the usual 255-byte file name limit."""
+    return len(name.encode("utf-8")) <= 255
+
+
 def _check_file_ids(docs, path, suffix: str) -> None:
     """Each id must name one file inside its output directory. The file
     name, ``id + suffix``, must fit the usual 255-byte name limit."""
     for lineno, doc in docs:
         doc_id = doc["id"]
         if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\\0") \
-                or len((doc_id + suffix).encode("utf-8")) > 255:
+                or not _fits(doc_id + suffix):
             raise InputError(f"document id {doc_id!r} is not a safe file name",
                              str(path), lineno)
 
@@ -69,10 +74,15 @@ def cmd_validate(args):
     return (EXIT_INVALID if n_bad else EXIT_OK), [report_path]
 
 
+# Every suffix a per-document stage writes under each subdirectory.
+_SUFFIXES = {"masks": (".mask.json", ".mask.bin"), "positions": (".pos.json",)}
+
+
 def _write_per_document(args, docs, build, encode, subdir: str, suffix: str):
     """One file per document under ``subdir``, holding ``encode(build(tokens))``,
     plus a ``<command>_status.jsonl`` row per document. A document whose
-    build fails has its file removed, so no earlier run's file stands in."""
+    build fails has its file in every format removed (a name over the limit
+    was never written), so no earlier run's file stands in."""
     _check_file_ids(docs, args.trace, suffix)
     status = []
     outputs = []
@@ -83,7 +93,9 @@ def _write_per_document(args, docs, build, encode, subdir: str, suffix: str):
         try:
             outputs.append(write_file(path, encode(build(doc["tokens"]))))
         except StructureError as exc:
-            remove_file(path)
+            for stale in _SUFFIXES[subdir]:
+                if _fits(doc["id"] + stale):
+                    remove_file(_out(args, subdir, doc["id"] + stale))
             row.update(ok=False, error=str(exc))
         status.append(row)
     outputs.append(write_jsonl(_out(args, f"{args.command}_status.jsonl"), status))

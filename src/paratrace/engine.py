@@ -4,7 +4,10 @@ One run emits a single parallel block: the prologue (guideline header)
 decodes sequentially, a pre-branch validator gates the fork, sibling
 branches then decode in lockstep rounds against a shared radix cache and a
 global token ledger, and after the join the tail (takeaway plus epilogue)
-decodes sequentially again.
+decodes sequentially again. A plain :class:`ScriptedPolicy` reads no
+context, so its branches jump forward k > 1 rounds at a time where no
+branch closes, no ledger shortfall and no flush can happen; a class that
+overrides ``next_token`` decodes token by token.
 
 Everything is replayable: identical (policy, budgets, schedule) inputs yield
 identical event logs. When the ledger runs dry the simulator force-closes
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, cycle, islice, repeat
 from typing import NamedTuple
 
 from .cache import CacheLease, RadixCache
@@ -345,22 +348,37 @@ def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
     """Decode the branches in rounds; each round charges one token per active
     branch of its group. Branch-major order runs each branch as its own group.
 
-    This is the per-token loop, so its methods are bound once. A round asks
-    each funded branch's policy for its next token and extends its lease,
-    then force-closes the unfunded branches, in order. A branch never becomes
-    active again, so the next round runs the funded branches that did not
-    close, not the whole group."""
+    A plain :class:`ScriptedPolicy`'s next tokens are known, so while k > 1
+    rounds can neither close a branch, run the ledger short nor fill the
+    cache, :func:`_jump_forward` decodes all k. Other rounds, and all rounds
+    of a class that overrides ``next_token``, take the per-token loop, whose
+    methods are bound once. A round asks each funded branch's policy for its
+    next token and extends its lease, then force-closes the unfunded
+    branches, in order. A branch never becomes active again, so the next
+    round runs the funded branches that did not close, not the whole group."""
     order = list(branches)
     if run.schedule == "reverse_round_robin":
         order = order[::-1]
     groups = [[b] for b in order] if run.schedule == "branch_major" else [order]
-    charge, next_token = run.ledger.charge, run.policy.next_token
+    ledger, policy = run.ledger, run.policy
+    charge, next_token = ledger.charge, policy.next_token
+    scripted = type(policy).next_token is ScriptedPolicy.next_token
     cache, log = run.cache, run.emission_log
     extend, log_token, log_event = cache.extend, log.append, run.events.append
     flushes = cache.flush_count  # only ``extend`` flushes here, at most once a call
     for active in groups:
         while active:
             n = len(active)
+            if scripted:
+                k = min(ledger.remaining, cache.budget - cache.usage) // n
+                if k > 1:
+                    # A stream's last token closes its branch, so stop before it.
+                    streams = policy.branches
+                    k = min(k, min([len(streams[b.branch_id]) - len(b.emitted)
+                                    for b in active]) - 1)
+                    if k > 1:
+                        _jump_forward(run, active, k)
+                        continue
             accepted = charge(n)
             step, before = run.step, len(log)
             still = []
@@ -385,6 +403,28 @@ def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
             if len(log) > before:
                 run.step += 1
             active = still
+
+
+def _jump_forward(run: _Run, active: list[BranchState], k: int) -> None:
+    """Decode ``k`` rounds of ``active`` as the per-token loop would, given
+    that none flushes, falls short or closes a branch. Branch-major inserts
+    give the tree, hits and child order of round-major ones, because at each
+    depth the branches reach new nodes in round order; the ledger, log and
+    events are written round-major."""
+    streams, n, step = run.policy.branches, len(active), run.step
+    run.ledger.charge_rounds(n, k)
+    runs = []
+    for b in active:
+        start = len(b.emitted)
+        tokens = streams[b.branch_id][start:start + k]
+        run.cache.extend_run(b.lease, tokens)
+        b.emitted.extend(tokens)
+        runs.append(tokens)
+    flat = list(chain.from_iterable(zip(*runs)))
+    run.emission_log.extend(flat)
+    steps = chain.from_iterable(map(repeat, range(step, step + k), repeat(n)))
+    run.events.extend(zip(repeat("emit"), steps, cycle([b.branch_id for b in active]), flat))
+    run.step += k
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:

@@ -9,6 +9,7 @@ charge for audit and replay.
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 
@@ -55,3 +56,18 @@ class TokenLedger:
         self.charged += accepted
         self._timeline.append((len(self._timeline), active_branches, accepted))
         return accepted
+
+    def charge_rounds(self, active_branches: int, rounds: int) -> int:
+        """``rounds`` calls of :meth:`charge` in one: the same timeline and
+        ``charged``. Returns the tokens accepted in all."""
+        if active_branches < 1:
+            raise ValueError("active_branches must be >= 1")
+        if rounds < 0:
+            raise ValueError("rounds must be >= 0")
+        full = min(rounds, (self.max_new_tokens - self.charged) // active_branches)
+        start = len(self._timeline)
+        self._timeline.extend(zip(range(start, start + full), repeat(active_branches),
+                                  repeat(active_branches)))
+        self.charged += full * active_branches
+        return full * active_branches + sum(self.charge(active_branches)
+                                            for _ in range(rounds - full))

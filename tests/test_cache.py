@@ -117,6 +117,9 @@ class TestRelease:
         cache.release(lease)
         with pytest.raises(DoubleRelease):
             cache.extend(lease, "b")
+        with pytest.raises(DoubleRelease):
+            cache.extend_run(lease, ["b", "c"])
+        assert (cache.usage, len(lease)) == (1, 1)
 
     def test_lease_from_another_cache_is_refused(self):
         """A lease is live only in the registry of the cache that made it:

@@ -135,6 +135,18 @@ class TestMaskPosid:
         assert not (out / name).exists()
         assert read_jsonl(out / f"{command}_status.jsonl")[0]["ok"] is False
 
+    def test_failed_dense_mask_leaves_no_coords_file(self, tmp_path):
+        """A document whose dense mask fails now leaves no mask file of either
+        format, where an earlier coords run built one for its id."""
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"id": "a", "tokens": E1_FULL}])
+        write_jsonl(bad, [{"id": "a", "tokens": E1[:-1]}])
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "mask", good) == 0
+        assert (out / "masks" / "a.mask.json").exists()
+        assert run_cli("--output-dir", out, "mask", bad, "--format", "dense") == 1
+        assert list((out / "masks").glob("a.mask.*")) == []
+
     def test_posid_artifacts(self, tmp_path, trace_file):
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "posid", trace_file) == 0

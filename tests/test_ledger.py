@@ -1,6 +1,8 @@
 """Global token accounting."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from paratrace import TokenLedger
 
@@ -66,3 +68,21 @@ def test_invalid_arguments():
         TokenLedger(-1)
     with pytest.raises(ValueError):
         TokenLedger(5).charge(0)
+    with pytest.raises(ValueError):
+        TokenLedger(5).charge_rounds(0, 2)
+    with pytest.raises(ValueError):
+        TokenLedger(5).charge_rounds(2, -1)
+
+
+@given(budget=st.integers(0, 60), before=st.lists(st.integers(1, 5), max_size=4),
+       n=st.integers(1, 6), k=st.integers(0, 15))
+def test_charge_rounds_is_k_charges(budget, before, n, k):
+    """``charge_rounds(n, k)`` leaves the timeline and ``charged`` of k calls
+    of ``charge(n)``, after any earlier charges, and returns their sum, also
+    when the budget runs out partway."""
+    rounds, calls = TokenLedger(budget), TokenLedger(budget)
+    for m in before:
+        rounds.charge(m)
+        calls.charge(m)
+    assert rounds.charge_rounds(n, k) == sum(calls.charge(n) for _ in range(k))
+    assert (rounds.timeline, rounds.charged) == (calls.timeline, calls.charged)

@@ -1,8 +1,9 @@
 """The RL step's fast paths against their references, and its record types.
 
 The array-form clipped and frozen-reference surrogates, the cache's
-mark-and-free flush and its tip-only pins are compared with the forms kept
-in ``reference_rl.py``. The record
+mark-and-free flush, its tip-only pins and its one-loop ``extend_run`` are
+compared with the forms kept in ``reference_rl.py`` and with one ``extend``
+per token. The record
 types the engine and the ledger hand out keep their public contract
 whatever their implementation: the logs store plain tuples, and each read
 builds the records.
@@ -181,9 +182,11 @@ def pair(budget: int) -> tuple[RecordingCache, RecordingCache]:
     return RecordingCache(budget, RadixCache.flush), RecordingCache(budget, ref_flush)
 
 
-def apply(cache, live: list, spent: list, op):
+def apply(cache, live: list, spent: list, op, reference: bool = False):
     """Run one operation on the ``live`` leases, or release a ``spent`` one
-    again; returns its result or the type of the exception it raised."""
+    again; returns its result or the type of the exception it raised. A
+    ``run`` is one ``extend_run``, or on the ``reference`` side the same
+    tokens passed one at a time to ``extend``."""
     kind, arg, token = op
     try:
         if kind == "insert":
@@ -197,6 +200,10 @@ def apply(cache, live: list, spent: list, op):
         lease = pool[arg % len(pool)]
         if kind == "extend":
             return cache.extend(lease, token)
+        if kind == "run":
+            if reference:
+                return sum(cache.extend(lease, t) for t in token)
+            return cache.extend_run(lease, token)
         if kind == "release":
             live.remove(lease)
             spent.append(lease)
@@ -210,16 +217,38 @@ OP = st.one_of(
     st.tuples(st.just("insert"), st.lists(TOKEN, max_size=6), st.none()),
     st.tuples(st.sampled_from(["extend", "extend", "release", "again"]),
               st.integers(0, 7), TOKEN),
+    st.tuples(st.just("run"), st.integers(0, 7), st.lists(TOKEN, max_size=8)),
     st.tuples(st.just("flush"), st.none(), st.none()))
+
+# A released two-token path fills a three-slot cache but one slot; a run from
+# the root then flushes it after its first token, and either completes or
+# fills the cache with its own path and overflows on its fourth token.
+_FILL = [("insert", ["a", "b"], None), ("release", 0, None), ("insert", [], None)]
+RUN_FLUSHES = (3, _FILL + [("run", 0, ["c", "a"])])
+RUN_OVERFLOWS = (3, _FILL + [("run", 0, ["c", "a", "b", "c"])])
+
+
+def test_run_examples_flush_partway_and_overflow():
+    """The two examples below reach what they are named for: a run that
+    flushes after its first token and completes, and one that flushes, then
+    raises with the three tokens before the refusal kept on its lease."""
+    for (budget, ops), last, flushes, length in ((RUN_FLUSHES, 2, 1, 2),
+                                                 (RUN_OVERFLOWS, BudgetExceeded, 2, 3)):
+        cache, (live, spent) = RadixCache(budget), ([], [])
+        assert [apply(cache, live, spent, op) for op in ops][-1] == last
+        assert (cache.flush_count, len(live[0])) == (flushes, length)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.lists(OP, max_size=60))
+@example(*RUN_FLUSHES)
+@example(*RUN_OVERFLOWS)
 def test_flush_matches_post_order_reference(budget, ops):
     fast, ref = pair(budget)
     fast_leases, ref_leases = ([], []), ([], [])
     for op in ops:
-        assert apply(fast, *fast_leases, op) == apply(ref, *ref_leases, op), op
+        assert (apply(fast, *fast_leases, op)
+                == apply(ref, *ref_leases, op, reference=True)), op
         assert fast.flushes == ref.flushes
         assert (fast.usage, fast.flush_count) == (ref.usage, ref.flush_count)
         fast.check_integrity()
@@ -253,6 +282,8 @@ def pinned_paths(cache) -> set[tuple[str, ...]]:
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.lists(OP, max_size=60))
+@example(*RUN_FLUSHES)
+@example(*RUN_OVERFLOWS)
 def test_tip_pins_match_path_pinning_reference(budget, ops):
     """A lease that pins only its tip behaves as one that pins its whole path:
     the same results and refusals, the same flushes, the same tree, and the
@@ -260,7 +291,8 @@ def test_tip_pins_match_path_pinning_reference(budget, ops):
     fast, ref = RadixCache(budget), PathPinningCache(budget)
     fast_leases, ref_leases = ([], []), ([], [])
     for op in ops:
-        assert apply(fast, *fast_leases, op) == apply(ref, *ref_leases, op), op
+        assert (apply(fast, *fast_leases, op)
+                == apply(ref, *ref_leases, op, reference=True)), op
         assert (fast.usage, fast.flush_count) == (ref.usage, ref.flush_count)
         assert ([node[:2] for node in tree_snapshot(fast)]
                 == [node[:2] for node in tree_snapshot(ref)])
