@@ -55,9 +55,9 @@ class GenerationEvent(NamedTuple):
                 "branch": self.branch, "token": self.token}
 
 
-# Builds a record from a stored plain ``(kind, step, branch, token)`` tuple.
-# The log stores plain tuples because the cyclic collector untracks those
-# and never a tuple subclass.
+# Builds a record from a ``(kind, step, branch, token)`` tuple of the log's
+# columns. The log stores four columns of ``str``, ``int`` and None, so the
+# cyclic collector tracks four lists, not one object per event.
 _event_record = partial(tuple.__new__, GenerationEvent)
 
 
@@ -206,19 +206,20 @@ def _validate_header(prologue, n_branches: int, strict: bool) -> str | None:
 @dataclass
 class GenerationRun:
     doc: ReasoningDoc
-    _events: list[tuple]  # plain (kind, step, branch, token) tuples
+    _log: tuple[list, list, list, list]  # the kind, step, branch and token columns
     stats: TopologyStats
     decode_steps: int
 
     @property
     def events(self) -> list[GenerationEvent]:
         """The event log as records, built on each read."""
-        return list(map(_event_record, self._events))
+        return list(map(_event_record, zip(*self._log)))
 
     def branch_streams(self) -> dict[str, list[str]]:
         """Per-branch token streams (emitted and forced) from the event log."""
+        kinds, _, branches, tokens = self._log
         streams: dict[str, list[str]] = {}
-        for kind, _, branch, token in self._events:
+        for kind, branch, token in zip(kinds, branches, tokens):
             if kind in ("emit", "truncate") and branch is not None and token is not None:
                 streams.setdefault(branch, []).append(token)
         return streams
@@ -233,14 +234,19 @@ class _Run:
         self.cache = cache
         self.ledger = ledger
         self.schedule = schedule
-        self.events: list[tuple] = []  # plain (kind, step, branch, token) tuples
+        # The event log as columns: kinds, steps, branches and tokens.
+        self.log: tuple[list, list, list, list] = ([], [], [], [])
         self.emission_log: list[str] = []
         self.step = 0
 
     # -- event helpers ---------------------------------------------------
 
     def _event(self, kind: str, branch=None, token=None) -> None:
-        self.events.append((kind, self.step, branch, token))
+        kinds, steps, branches, tokens = self.log
+        kinds.append(kind)
+        steps.append(self.step)
+        branches.append(branch)
+        tokens.append(token)
 
     # -- phases ----------------------------------------------------------
 
@@ -321,7 +327,7 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
         if reason is not None:
             run._event("reject", token=reason)
             raise IllegalSchema(f"pre-branch validator: {reason}", tokens=prologue,
-                                events=map(_event_record, run.events))
+                                events=map(_event_record, zip(*run.log)))
         if not funded:
             run.force_close(prologue)
             return _finish(run, prologue)
@@ -364,7 +370,8 @@ def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
     charge, next_token = ledger.charge, policy.next_token
     scripted = type(policy).next_token is ScriptedPolicy.next_token
     cache, log = run.cache, run.emission_log
-    extend, log_token, log_event = cache.extend, log.append, run.events.append
+    extend, log_token = cache.extend, log.append
+    add_kind, add_step, add_branch, add_token = (column.append for column in run.log)
     flushes = cache.flush_count  # only ``extend`` flushes here, at most once a call
     for active in groups:
         while active:
@@ -391,10 +398,16 @@ def _parallel_phase(run: _Run, branches: list[BranchState]) -> None:
                 extend(b.lease, token)
                 if cache.flush_count != flushes:
                     flushes = cache.flush_count
-                    log_event(("flush", step, bid, None))
+                    add_kind("flush")
+                    add_step(step)
+                    add_branch(bid)
+                    add_token(None)
                 emitted.append(token)
                 log_token(token)
-                log_event(("emit", step, bid, token))
+                add_kind("emit")
+                add_step(step)
+                add_branch(bid)
+                add_token(token)
                 if token != STEP_CLOSE:
                     still.append(b)
             if accepted < n:
@@ -422,14 +435,17 @@ def _jump_forward(run: _Run, active: list[BranchState], k: int) -> None:
         runs.append(tokens)
     flat = list(chain.from_iterable(zip(*runs)))
     run.emission_log.extend(flat)
-    steps = chain.from_iterable(map(repeat, range(step, step + k), repeat(n)))
-    run.events.extend(zip(repeat("emit"), steps, cycle([b.branch_id for b in active]), flat))
+    kinds, steps, branches, tokens = run.log
+    kinds.extend(repeat("emit", n * k))
+    steps.extend(chain.from_iterable(map(repeat, range(step, step + k), repeat(n))))
+    branches.extend(islice(cycle([b.branch_id for b in active]), n * k))
+    tokens.extend(flat)
     run.step += k
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
     doc = parse_document(tokens)
-    return GenerationRun(doc=doc, _events=run.events,
+    return GenerationRun(doc=doc, _log=run.log,
                          stats=topology_stats(tokens), decode_steps=run.step)
 
 

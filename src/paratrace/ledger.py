@@ -9,7 +9,7 @@ charge for audit and replay.
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 
@@ -19,8 +19,9 @@ class LedgerEntry(NamedTuple):
     charged: int
 
 
-# Builds a record from a stored plain ``(step, active_branches, charged)``
-# tuple: the cyclic collector untracks plain tuples, never a tuple subclass.
+# Builds a record from a ``(step, active_branches, charged)`` tuple. The
+# timeline is stored as two columns of ints, the step being the index, so the
+# cyclic collector tracks two lists, not one object per charge.
 _entry_record = partial(tuple.__new__, LedgerEntry)
 
 
@@ -30,7 +31,8 @@ class TokenLedger:
             raise ValueError("max_new_tokens must be non-negative")
         self.max_new_tokens = max_new_tokens
         self.charged = 0
-        self._timeline: list[tuple[int, int, int]] = []
+        self._branches: list[int] = []  # active branches at each charge
+        self._charges: list[int] = []  # tokens accepted at each charge
 
     @property
     def remaining(self) -> int:
@@ -39,7 +41,7 @@ class TokenLedger:
     @property
     def timeline(self) -> tuple[LedgerEntry, ...]:
         """The charges so far as records, built on each read."""
-        return tuple(map(_entry_record, self._timeline))
+        return tuple(map(_entry_record, zip(count(), self._branches, self._charges)))
 
     def charge(self, active_branches: int) -> int:
         """Charge one token per active branch, capped by the remaining budget.
@@ -54,7 +56,8 @@ class TokenLedger:
         if active_branches < accepted:
             accepted = active_branches
         self.charged += accepted
-        self._timeline.append((len(self._timeline), active_branches, accepted))
+        self._branches.append(active_branches)
+        self._charges.append(accepted)
         return accepted
 
     def charge_rounds(self, active_branches: int, rounds: int) -> int:
@@ -65,9 +68,8 @@ class TokenLedger:
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
         full = min(rounds, (self.max_new_tokens - self.charged) // active_branches)
-        start = len(self._timeline)
-        self._timeline.extend(zip(range(start, start + full), repeat(active_branches),
-                                  repeat(active_branches)))
+        self._branches.extend(repeat(active_branches, full))
+        self._charges.extend(repeat(active_branches, full))
         self.charged += full * active_branches
         return full * active_branches + sum(self.charge(active_branches)
                                             for _ in range(rounds - full))

@@ -4,10 +4,11 @@ These are the earlier scalar forms: a group-mean, batch-std advantage
 normalizer in plain Python floats, a clipped surrogate and a frozen-reference
 surrogate that call ``np.exp`` one token at a time, summing in token order,
 a cache flush that walks the id tables in post-order with an explicit stack
-of ``(node, expanded)`` pairs, a reader of the cache's tree, and a radix
-cache with node objects whose leases pin every node on their path. They are
-slow but plainly correct, and share no code with :mod:`paratrace.advantages`
-or :mod:`paratrace.cache`.
+of ``(node, expanded)`` pairs and trims edges one token at a time, a reader
+that expands the cache's edges into one node per token, and a radix cache
+with one node object per token whose leases pin every node on their path.
+They are slow but plainly correct, and share no code with
+:mod:`paratrace.advantages` or :mod:`paratrace.cache`.
 """
 
 from __future__ import annotations
@@ -76,12 +77,25 @@ def ref_papo_surrogate_frozen(logprobs, ref_logprobs, advantages) -> float:
     return -acc / total_tokens
 
 
+def _position(cache: RadixCache, lease) -> tuple[int, int]:
+    """The node whose edge holds a live lease's end, and the lease's length.
+    A split leaves a lease naming the node below the cut, so this climbs the
+    parent links to the edge that holds its length, and records the node."""
+    node, depth = lease._node, lease._length
+    while node and depth <= cache._end[cache._parent[node]]:
+        node = cache._parent[node]
+    lease._node = node
+    return node, depth
+
+
 def ref_flush(cache: RadixCache) -> int:
-    """Evict every unpinned childless node of ``cache`` in depth-first
-    post-order over its id tables. A node is pinned when it is the tip of a
-    live lease or the node a pending insertion grows from."""
-    children = cache._children
-    pinned = {lease._tip for lease in cache._leases} | {cache._protect}
+    """Evict every unpinned childless token of ``cache`` in depth-first
+    post-order over its id tables: a childless edge is trimmed from its end,
+    one token at a time, back to its deepest pin, and its node is freed when
+    no token is left. A position is pinned when a live lease ends there or a
+    pending insertion grows from it."""
+    children, end, run, base = cache._children, cache._end, cache._run, cache._base
+    pinned = {_position(cache, lease) for lease in cache._leases} | {cache._protect}
     freed = 0
     stack = [(0, False)]
     while stack:
@@ -93,30 +107,41 @@ def ref_flush(cache: RadixCache) -> int:
         kids = children[node]
         for tok in list(kids):
             child = kids[tok]
-            if child not in pinned and not children[child]:
+            if children[child]:
+                continue
+            while end[child] > end[node] and (child, end[child]) not in pinned:
+                end[child] -= 1
+                freed += 1
+            del run[child][end[child] - base[child]:]
+            if end[child] == end[node]:
                 del kids[tok]
                 cache._free.append(child)
-                freed += 1
     cache.usage -= freed
     return freed
 
 
 def cache_tree(cache):
     """The tree below ``cache``'s root as lazy ``(token, pins, subtree)``
-    triples, children in insertion order. A :class:`RadixCache` node's pins
-    are the live leases whose tip it is; a :class:`PathPinningCache` node's
-    are its reference count."""
+    triples, one per token, children in insertion order. A
+    :class:`RadixCache` token's pins are the live leases that end at it,
+    read off its edges one token at a time; a :class:`PathPinningCache`
+    node's are its reference count."""
     if isinstance(cache, PathPinningCache):
         def below(node):
             for tok, child in node.children.items():
                 yield tok, child.ref_count, below(child)
         return below(cache._root)
-    tips = Counter(lease._tip for lease in cache._leases)
+    ends = Counter(_position(cache, lease) for lease in cache._leases)
+    children, end, run, base = cache._children, cache._end, cache._run, cache._base
 
-    def below(node):
-        for tok, child in cache._children[node].items():
-            yield tok, tips[child], below(child)
-    return below(0)
+    def below(node, depth):
+        """The tokens that follow the position ``(node, depth)``."""
+        if depth < end[node]:
+            yield run[node][depth - base[node]], ends[node, depth + 1], below(node, depth + 1)
+            return
+        for tok, child in children[node].items():
+            yield tok, ends[child, depth + 1], below(child, depth + 1)
+    return below(0, 0)
 
 
 class _PathNode:

@@ -1,6 +1,7 @@
 """Radix cache: leases, budget pressure, reclamation, double-free."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -227,7 +228,7 @@ class TestLongLease:
         cache.check_integrity()
 
     def test_extend_never_walks_the_lease_path(self):
-        """A lease pins only its tip: growing or releasing a 10,000-token
+        """A lease pins only its end: growing or releasing a 10,000-token
         lease runs exactly the lines it does for a 10-token one."""
         def work(n):
             cache = RadixCache(budget=n + 1)
@@ -243,31 +244,104 @@ class TestLongLease:
 
 class TestIntegrity:
     """Every id is in the tree or free, once; each child entry agrees with
-    the child's parent and token links; usage counts the tree's nodes; and
-    each live lease's tip is a node at the lease's depth."""
+    the child's parent link and the head of its edge; each edge holds at
+    least one token and lies inside its run; usage counts the tree's tokens;
+    and each live lease's length lies on the edge of a node in the tree."""
 
     @staticmethod
-    def _freed_tip(cache, lease):
+    def _freed_node(cache, lease):
         dead = cache.match_and_insert(["d", "e"])
-        tip = dead._tip
+        node = dead._node
         cache.release(dead)
         assert cache.flush() == 2
-        lease._tip = tip
+        lease._node = node
+
+    @staticmethod
+    def _edge_head(cache, lease):
+        node = lease._node
+        head = cache._end[cache._parent[node]] - cache._base[node]
+        cache._run[node][head] = "z"
 
     @pytest.mark.parametrize("corrupt", [
-        _freed_tip,
-        lambda cache, lease: cache._parent.__setitem__(lease._tip, 0),
-        lambda cache, lease: cache._token.__setitem__(lease._tip, "z"),
+        _freed_node,
+        lambda cache, lease: cache._parent.__setitem__(lease._node, 0),
+        _edge_head,
+        lambda cache, lease: cache._end.__setitem__(lease._node, cache._end[lease._node] + 1),
+        lambda cache, lease: setattr(lease, "_length", len(lease) + 1),
         lambda cache, lease: setattr(cache, "usage", cache.usage + 1),
-    ], ids=["freed-tip", "parent-link", "token-link", "usage-off"])
+    ], ids=["freed-tip", "parent-link", "edge-head", "edge-depth", "lease-depth", "usage-off"])
     def test_corrupt_tables_are_caught(self, corrupt):
+        # "a" "b" "c" and "a" "x" split the first edge: the lease ends on the
+        # edge "b" "c", below the split node "a".
         cache = RadixCache(budget=10)
         lease = cache.match_and_insert(["a", "b", "c"])
+        cache.match_and_insert(["a", "x"])
         cache.match_and_insert([])
         cache.check_integrity()
+        assert cache._parent[lease._node] != 0
         corrupt(cache, lease)
         with pytest.raises(AssertionError):
             cache.check_integrity()
+
+
+class TestRunEdges:
+    """A run is matched, inserted and split as one edge, in O(1) Python steps."""
+
+    def test_a_run_costs_the_same_lines_at_any_length(self):
+        """Inserting a run as a new edge, growing a leaf edge by a run in
+        place, and matching a whole stored run each run the same lines for
+        10,000 tokens as for 10."""
+        def work(n):
+            cache = RadixCache(budget=2 * n)
+            tokens = [f"t{i}" for i in range(2 * n)]
+            first, second = cache.match_and_insert([]), cache.match_and_insert([])
+            inserted = line_events(lambda: cache.extend_run(first, tokens[:n]))
+            appended = line_events(lambda: cache.extend_run(first, tokens[n:]))
+            matched = line_events(lambda: cache.extend_run(second, tokens))
+            assert (len(first), len(second), first.new_slots, second.new_slots,
+                    cache.usage) == (2 * n, 2 * n, 2 * n, 0, 2 * n)
+            cache.check_integrity()
+            return inserted, appended, matched
+
+        assert work(10) == work(10_000)
+
+    def test_a_split_copies_no_tokens(self):
+        """Splitting a 100,000-token edge two tokens below its head allocates
+        under 64 KB; copying the edge's tokens would take about 800 KB."""
+        n = 100_000
+        cache = RadixCache(budget=n + 1)
+        tokens = [f"t{i}" for i in range(n)]
+        lease = cache.match_and_insert(tokens)
+        tracemalloc.start()
+        try:
+            fork = cache.match_and_insert(tokens[:2] + ["x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fork.matched, fork.new_slots, cache.usage) == (2, 1, n + 1)
+        assert cache.match_prefix(tokens) == n
+        assert peak < 64 * 1024, peak
+        cache.check_integrity()
+        cache.release(lease)
+
+    def test_a_split_does_not_walk_the_leases(self):
+        """A split under 1,000 live leases on the cut edge runs exactly the
+        lines it does under one, and every lease keeps its length and pins."""
+        def work(leases):
+            cache = RadixCache(budget=64)
+            path = [f"t{i}" for i in range(20)]
+            cache.release(cache.match_and_insert(path))
+            held = [cache.match_and_insert(path[:5 + i % 10]) for i in range(leases)]
+            cutter = cache.match_and_insert(path[:2])
+            lines = line_events(lambda: cache.extend(cutter, "x"))
+            assert [len(lease) for lease in held] == [5 + i % 10 for i in range(leases)]
+            cache.check_integrity()
+            cache.release(cutter)
+            assert cache.flush() == 1 + 20 - max(len(lease) for lease in held)
+            cache.check_integrity()
+            return lines
+
+        assert work(1) == work(1_000)
 
 
 class TestCollector:

@@ -1,12 +1,11 @@
 """The RL step's fast paths against their references, and its record types.
 
 The array-form clipped and frozen-reference surrogates, the cache's
-mark-and-free flush, its tip-only pins and its one-loop ``extend_run`` are
-compared with the forms kept in ``reference_rl.py`` and with one ``extend``
-per token. The record
-types the engine and the ledger hand out keep their public contract
-whatever their implementation: the logs store plain tuples, and each read
-builds the records.
+mark-and-free flush, its end-only pins and its run-at-a-time ``extend_run``
+are compared with the forms kept in ``reference_rl.py`` and with one
+``extend`` per token. The record types the engine and the ledger hand out
+keep their public contract whatever their implementation: the logs store
+columns, and each read builds the records.
 """
 
 from __future__ import annotations
@@ -264,7 +263,8 @@ def test_id_tables_stay_within_budget_plus_one(budget, ops):
     leases = ([], [])
     for op in ops:
         apply(cache, *leases, op)
-        assert max(map(len, (cache._children, cache._parent, cache._token))) <= budget + 1
+        assert max(map(len, (cache._children, cache._parent, cache._run, cache._base,
+                             cache._end))) <= budget + 1
 
 
 def pinned_paths(cache) -> set[tuple[str, ...]]:
@@ -369,7 +369,7 @@ def test_illegal_schema_carries_events():
 def test_logs_are_stored_plain_and_read_as_records():
     """A run's event log, a refusal's events and a ledger's timeline read as
     records with their fields and JSON bytes, equal on every read, while the
-    stored entries are plain tuples that the cyclic collector untracks."""
+    stored logs add no object the cyclic collector tracks per entry."""
     policy = ScriptedPolicy(["<guideline>", "<plan>", "1:", "</plan>", "</guideline>"],
                             {"1": ["<step>", "x", "</step>"], "2": ["<step>", "</step>"]},
                             ["<takeaway>", "t", "</takeaway>"])
@@ -398,6 +398,28 @@ def test_logs_are_stored_plain_and_read_as_records():
     assert entry == LedgerEntry(5, 2, 2)
     assert (entry.step, entry.active_branches, entry.charged) == (5, 2, 2)
 
-    gc.collect()
-    for stored in (run._events[-1], ledger._timeline[-1]):
-        assert type(stored) is tuple and gc.is_tracked(stored) is False
+    def tracked(n):
+        """Objects the collector tracks that two kept runs and their ledgers
+        add: four ``n``-token branches decoded in jumps by a plain policy,
+        and token by token by a context-reading one."""
+        words = [f"w{i}" for i in range(n)]
+        branches = {str(j): ["<step>", *words, "</step>"] for j in range(4)}
+        header = ["<guideline>", *["<plan>", "p", "</plan>"] * 4, "</guideline>"]
+        policies = (ScriptedPolicy(header, branches, ["<takeaway>", "t", "</takeaway>"]),
+                    _ContextPolicy(header, branches, ["<takeaway>", "t", "</takeaway>"]))
+        gc.collect()
+        before = len(gc.get_objects())
+        kept = [(run_generation(p, RadixCache(1 << 16), ledger), ledger)
+                for p, ledger in zip(policies, (TokenLedger(1 << 16), TokenLedger(1 << 16)))]
+        gc.collect()
+        assert [len(run.events) for run, _ in kept] == [4 * n + 27] * 2
+        return len(gc.get_objects()) - before
+
+    assert abs(tracked(1_000) - tracked(100)) <= 4
+
+
+class _ContextPolicy(ScriptedPolicy):
+    """Overrides ``next_token``, so its branches decode in the round loop."""
+
+    def next_token(self, branch_id, position, context=()):
+        return super().next_token(branch_id, position, context)
