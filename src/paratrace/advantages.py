@@ -13,7 +13,8 @@ positive scaling of the rewards.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,12 +72,13 @@ def dynamic_sampling_check(outcomes) -> bool:
     return 0 < correct < len(flags)
 
 
-def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:
+def _aligned(streams, advantages, paired=None) -> tuple[list[float | np.ndarray], int]:
     """The one alignment rule of the surrogates: per-token advantage rows for
     ``streams``, and their total token count.
 
-    ``advantages`` holds one entry per record, a scalar broadcast over the
-    record's tokens or a per-token list. ``paired``, when given, must match
+    ``advantages`` holds one entry per record: a scalar (any ``numbers.Real``,
+    numpy scalars included), whose row is one ``float`` broadcast over the
+    record's tokens, or a per-token list. ``paired``, when given, must match
     ``streams`` record for record and token for token. Any mismatch, and
     streams with no tokens at all, raise ``ValueError``.
     """
@@ -89,8 +91,8 @@ def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:
         raise ValueError("advantages and streams differ in record count")
     rows = []
     for adv, stream in zip(advantages, streams):
-        if isinstance(adv, (int, float)):
-            rows.append(np.full(len(stream), float(adv)))
+        if isinstance(adv, Real):
+            rows.append(float(adv))
         elif len(adv) != len(stream):
             raise ValueError("per-token advantages misaligned with stream")
         else:
@@ -99,6 +101,13 @@ def _aligned(streams, advantages, paired=None) -> tuple[list[np.ndarray], int]:
     if total_tokens == 0:
         raise ValueError("empty token streams")
     return rows, total_tokens
+
+
+def _floats(stream) -> np.ndarray:
+    """``stream`` as a float64 array: an ndarray is cast, anything else read once."""
+    if isinstance(stream, np.ndarray):
+        return stream.astype(np.float64, copy=False)
+    return np.fromiter(stream, np.float64, len(stream))
 
 
 def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
@@ -113,7 +122,7 @@ def dapo_surrogate(old_logprobs: Sequence[Sequence[float]],
     rows, total_tokens = _aligned(new_logprobs, advantages, old_logprobs)
     acc = 0.0
     for old, new, a in zip(old_logprobs, new_logprobs, rows):
-        ratio = np.exp(np.subtract(new, old, dtype=np.float64))
+        ratio = np.exp(_floats(new) - _floats(old))
         clipped = np.minimum(np.maximum(ratio, 1.0 - CLIP_LOW), 1.0 + CLIP_HIGH)
         acc += float(np.minimum(ratio * a, clipped * a).sum())
     return -acc / total_tokens
@@ -134,9 +143,11 @@ def papo_surrogate(logprobs: Sequence[Sequence[float]], advantages) -> PapoSurro
     nonzero advantage receives gradient, structural tags included.
     """
     rows, total_tokens = _aligned(logprobs, advantages)
-    # Left to right over one row's floats at a time, with no step per token.
-    loss = -sum(chain.from_iterable(map(np.ndarray.tolist, rows))) / total_tokens
-    grads = tuple(tuple((-row / total_tokens).tolist()) for row in rows)
+    # Left to right, with no step per token; a broadcast row shares one float.
+    loss = -sum(chain.from_iterable(repeat(a, len(s)) if isinstance(a, float) else a.tolist()
+                                    for a, s in zip(rows, logprobs))) / total_tokens
+    grads = tuple((-a / total_tokens,) * len(s) if isinstance(a, float)
+                  else tuple((-a / total_tokens).tolist()) for a, s in zip(rows, logprobs))
     return PapoSurrogate(loss, grads)
 
 
@@ -152,5 +163,5 @@ def papo_surrogate_frozen(logprobs: Sequence[Sequence[float]],
     rows, total_tokens = _aligned(logprobs, advantages, ref_logprobs)
     acc = 0.0
     for lp, ref, a in zip(logprobs, ref_logprobs, rows):
-        acc += float((a * np.exp(np.subtract(lp, ref, dtype=np.float64))).sum())
+        acc += float((a * np.exp(_floats(lp) - _floats(ref))).sum())
     return -acc / total_tokens

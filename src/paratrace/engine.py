@@ -30,7 +30,7 @@ from .document import ReasoningDoc, parse_document
 from .errors import IllegalSchema, LedgerExhausted
 from .ledger import TokenLedger
 from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, STEP_CLOSE, STEP_OPEN, TAGS,
-                   TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events)
+                   TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events, tag_scan)
 from .topology import TopologyStats, topology_stats
 from .validation import TAG_RULES
 
@@ -111,16 +111,22 @@ class ScriptedPolicy:
     """Deterministic token source: a prologue, one stream per branch, a tail.
 
     ``next_token`` ignores the visible context; subclasses used to probe the
-    masking contract may not.
+    masking contract may not. Streams keep their tokens, which must be ``str``.
     """
 
     def __init__(self, prologue, branches: dict, takeaway):
-        self.prologue = tuple(map(str, prologue))
-        self.branches = {str(k): tuple(map(str, v)) for k, v in branches.items()}
-        self.takeaway = tuple(map(str, takeaway))
+        self.prologue = tuple(prologue)
+        self.branches = {str(k): tuple(v) for k, v in branches.items()}
+        self.takeaway = tuple(takeaway)
         self._check_streams()
 
     def _check_streams(self) -> None:
+        for name, stream in [("prologue", self.prologue), ("tail", self.takeaway),
+                             *((f"branch {b!r}", s) for b, s in self.branches.items())]:
+            try:
+                "".join(stream)  # refuses, in C, any token that is not a str
+            except TypeError:
+                raise ValueError(f"{name} holds a token that is not a str") from None
         if not self.prologue:
             raise ValueError("script prologue is empty")
         if not self.branches:
@@ -345,7 +351,7 @@ def run_generation(policy: ScriptedPolicy, cache: RadixCache, ledger: TokenLedge
         tail: list[str] = []
         if not run.sequential(tail, policy.takeaway, main_lease):
             run.force_close(tail)
-        return _finish(run, prologue + [t for b in branches for t in b.emitted] + tail)
+        return _finish(run, list(chain(prologue, *[b.emitted for b in branches], tail)))
     finally:
         cache.release(main_lease)
 
@@ -444,9 +450,9 @@ def _jump_forward(run: _Run, active: list[BranchState], k: int) -> None:
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
-    doc = parse_document(tokens)
-    return GenerationRun(doc=doc, _log=run.log,
-                         stats=topology_stats(tokens), decode_steps=run.step)
+    events = tag_scan(tokens)
+    return GenerationRun(doc=parse_document(tokens, events=events), _log=run.log,
+                         stats=topology_stats(tokens, events=events), decode_steps=run.step)
 
 
 def schedule_confluence_check(policy: ScriptedPolicy) -> bool:

@@ -150,13 +150,14 @@ class _TopoFrame:
 _kept: tuple = (None, None)
 
 
-def _walk(texts):
+def _walk(texts, events=None):
     """The structure of ``texts``: one tag scan, gated on the validator, then walked.
 
     ``texts`` is a list or tuple of ``str``; its references are copied into
-    one tuple, which the scan, the validator and the walk read, and which is
-    kept as the key of the result. A call on an equal sequence returns the
-    kept result with no scan, no gate and no walk; a walk that raises
+    one tuple, which the scan (or the given ``events``, its scan), the
+    validator and the walk read, and which is kept as the key of the result.
+    A call on an equal sequence returns the kept result with no scan, no
+    gate and no walk; a walk that raises
     :class:`StructureError` is not kept. Returns ``(groups, runs, blocks)``,
     all immutable: ``groups`` holds, for each block of two or more steps,
     its sibling step spans as ``(start, end)`` pairs; ``runs`` the position
@@ -171,7 +172,7 @@ def _walk(texts):
     kept_key, kept = _kept
     if key == kept_key:
         return kept
-    events = tag_scan(key)
+    events = tag_scan(key) if events is None else events
     for v in validate_structure(key, events=events).violations:
         if v.category == 1:
             raise StructureError(f"tag structure broken: {v.message}", v.index)
@@ -273,13 +274,15 @@ class TopologyStats:
         }
 
 
-def topology_stats(tokens) -> TopologyStats:
+def topology_stats(tokens, *, events=None) -> TopologyStats:
     """Decode-depth statistics: critical path and compression ratio.
 
     The compression ratio (total tokens over critical path) is the simulated
-    speedup of parallel decode relative to left-to-right decode.
+    speedup of parallel decode relative to left-to-right decode. ``events``
+    is :func:`~paratrace.tags.tag_scan` of ``tokens`` when the caller holds
+    it, read and not checked; without it the walk makes that scan itself.
     """
-    _, runs, blocks = _walk(tokens)
+    _, runs, blocks = _walk(tokens, events)
     if not tokens:
         return TopologyStats(0, 0, 1.0, ())
     critical = max(map(attrgetter("stop"), runs))

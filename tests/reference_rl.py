@@ -3,11 +3,14 @@
 These are the earlier scalar forms: a group-mean, batch-std advantage
 normalizer in plain Python floats, a clipped surrogate and a frozen-reference
 surrogate that call ``np.exp`` one token at a time, summing in token order,
+the three surrogates in the earlier row form, which gives every record a
+float64 array of advantages (``np.full`` for a broadcast ``int`` or
+``float``) and converts each stream with ``np.subtract``,
 a cache flush that walks the id tables in post-order with an explicit stack
 of ``(node, expanded)`` pairs and trims edges one token at a time, a reader
 that expands the cache's edges into one node per token, and a radix cache
 with one node object per token whose leases pin every node on their path.
-They are slow but plainly correct, and share no code with
+They are plainly correct, and share no code with
 :mod:`paratrace.advantages` or :mod:`paratrace.cache`.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -74,6 +78,60 @@ def ref_papo_surrogate_frozen(logprobs, ref_logprobs, advantages) -> float:
         a_row = [a_rec] * len(lp_row) if isinstance(a_rec, (int, float)) else a_rec
         for lp, ref, a in zip(lp_row, ref_row, a_row):
             acc += float(a) * float(np.exp(lp - ref))
+    return -acc / total_tokens
+
+
+def _ref_rows(streams, advantages, paired=None):
+    """Per-token float64 advantage rows and the total token count, under the
+    surrogates' alignment rule; only ``int`` and ``float`` broadcast."""
+    if paired is not None:
+        if len(paired) != len(streams):
+            raise ValueError("old/new streams differ in record count")
+        if any(len(p) != len(s) for p, s in zip(paired, streams)):
+            raise ValueError("old/new streams differ in token count")
+    if len(advantages) != len(streams):
+        raise ValueError("advantages and streams differ in record count")
+    rows = []
+    for adv, stream in zip(advantages, streams):
+        if isinstance(adv, (int, float)):
+            rows.append(np.full(len(stream), float(adv)))
+        elif len(adv) != len(stream):
+            raise ValueError("per-token advantages misaligned with stream")
+        else:
+            rows.append(np.asarray(adv, dtype=np.float64))
+    total_tokens = sum(map(len, streams))
+    if total_tokens == 0:
+        raise ValueError("empty token streams")
+    return rows, total_tokens
+
+
+def ref_row_dapo_surrogate(old_logprobs, new_logprobs, advantages,
+                           eps_low: float, eps_high: float) -> float:
+    """The clipped surrogate over whole advantage rows."""
+    rows, total_tokens = _ref_rows(new_logprobs, advantages, old_logprobs)
+    acc = 0.0
+    for old, new, a in zip(old_logprobs, new_logprobs, rows):
+        ratio = np.exp(np.subtract(new, old, dtype=np.float64))
+        clipped = np.minimum(np.maximum(ratio, 1.0 - eps_low), 1.0 + eps_high)
+        acc += float(np.minimum(ratio * a, clipped * a).sum())
+    return -acc / total_tokens
+
+
+def ref_row_papo_surrogate(logprobs, advantages):
+    """The on-policy loss, summed left to right over the rows' floats, and one
+    ``(-advantage / total_tokens)`` sensitivity per token."""
+    rows, total_tokens = _ref_rows(logprobs, advantages)
+    loss = -sum(chain.from_iterable(map(np.ndarray.tolist, rows))) / total_tokens
+    grads = tuple(tuple((-row / total_tokens).tolist()) for row in rows)
+    return loss, grads
+
+
+def ref_row_papo_surrogate_frozen(logprobs, ref_logprobs, advantages) -> float:
+    """The frozen-reference surrogate over whole advantage rows."""
+    rows, total_tokens = _ref_rows(logprobs, advantages, ref_logprobs)
+    acc = 0.0
+    for lp, ref, a in zip(logprobs, ref_logprobs, rows):
+        acc += float((a * np.exp(np.subtract(lp, ref, dtype=np.float64))).sum())
     return -acc / total_tokens
 
 

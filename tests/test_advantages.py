@@ -2,14 +2,20 @@
 
 import math
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paratrace import (RolloutBatch, RolloutRecord, dapo_advantage, dapo_surrogate,
                        dynamic_sampling_check, papo_advantage, papo_group_values,
                        papo_surrogate, papo_surrogate_frozen)
-from paratrace.advantages import EPSILON
+from paratrace.advantages import CLIP_HIGH, CLIP_LOW, EPSILON
+from reference_rl import (ref_row_dapo_surrogate, ref_row_papo_surrogate,
+                          ref_row_papo_surrogate_frozen)
 
 
 def record(rid, group, n_tokens=4, reward=None, pred="1", gold="1"):
@@ -191,3 +197,93 @@ class TestPapoSurrogate:
                 fd = (papo_surrogate_frozen(up, streams, advs)
                       - papo_surrogate_frozen(down, streams, advs)) / (2 * h)
                 assert fd == pytest.approx(grads[i][t], rel=1e-5)
+
+
+class TestScalarAdvantages:
+    @pytest.mark.parametrize("scalar", [np.float32(1.0), np.int64(1), np.float64(1.0),
+                                        np.int8(1), True, 1],
+                             ids=["float32", "int64", "float64", "int8", "bool", "int"])
+    def test_any_real_scalar_broadcasts(self, scalar):
+        lp, other = [[0.1, 0.2]], [[0.3, -0.1]]
+        assert papo_surrogate(lp, [scalar]) == papo_surrogate(lp, [1.0])
+        assert dapo_surrogate(other, lp, [scalar]) == dapo_surrogate(other, lp, [1.0])
+        assert (papo_surrogate_frozen(lp, other, [scalar])
+                == papo_surrogate_frozen(lp, other, [1.0]))
+
+    def test_a_broadcast_row_shares_one_float(self):
+        """Over 4 x 10,000 tokens the sensitivities are four tuples of one
+        shared float each: no float object is built per token."""
+        streams = [(-0.5,) * 10_000 for _ in range(4)]
+        advantages = [0.25, -0.5, 1.0, 0.0]
+        tracemalloc.start()
+        try:
+            loss, grads = papo_surrogate(streams, advantages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000 * sys.getsizeof(0.0) / 2
+        assert [len({id(g) for g in row}) for row in grads] == [1] * 4
+        assert loss == -sum(a * 10_000 for a in advantages) / 40_000
+
+    def test_an_ndarray_stream_is_not_iterated(self):
+        class NoIter(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("stream read element by element")
+
+        old = np.full(1_000, -1.0).view(NoIter)
+        new = np.full(1_000, -0.9).view(NoIter)
+        assert math.isfinite(dapo_surrogate([old], [new], [1.0]))
+        assert math.isfinite(papo_surrogate_frozen([new], [old], [1.0]))
+
+
+# -- against the row form in ``reference_rl`` ---------------------------------
+
+_CONTAINERS = {"tuple": tuple, "list": list,
+               "f64": lambda v: np.array(v, dtype=np.float64),
+               "f32": lambda v: np.array(v, dtype=np.float32)}
+_floats = st.floats(-3, 3)
+_scalars = st.one_of(_floats, st.integers(-3, 3), st.booleans(),
+                     st.floats(-3, 3, width=32).map(np.float32), _floats.map(np.float64),
+                     st.integers(-3, 3).map(np.int64))
+
+
+@st.composite
+def surrogate_cases(draw):
+    """Streams of 0-6 tokens in each container, and per record a scalar of
+    each kind or a per-token list, tuple or array."""
+    lengths = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any))
+
+    def stream(n):
+        values = draw(st.lists(st.floats(-4, 0), min_size=n, max_size=n))
+        return _CONTAINERS[draw(st.sampled_from(sorted(_CONTAINERS)))](values)
+
+    def advantage(n):
+        per_token = st.lists(_floats, min_size=n, max_size=n).map(
+            _CONTAINERS[draw(st.sampled_from(["tuple", "list", "f64"]))])
+        return draw(st.one_of(_scalars, per_token))
+
+    return ([stream(n) for n in lengths], [stream(n) for n in lengths],
+            [advantage(n) for n in lengths])
+
+
+def _bits(x: float):
+    return type(x), x, math.copysign(1.0, x)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(surrogate_cases())
+def test_surrogates_match_the_row_form_bit_for_bit(case):
+    """Losses and sensitivities equal the row form's with ``==``, sign of zero
+    included; the row form, which refuses numpy scalars, gets their float."""
+    old, new, advantages = case
+    as_rows = [float(a) if isinstance(a, np.generic) else a for a in advantages]
+    assert (_bits(dapo_surrogate(old, new, advantages))
+            == _bits(ref_row_dapo_surrogate(old, new, as_rows, CLIP_LOW, CLIP_HIGH)))
+    assert (_bits(papo_surrogate_frozen(new, old, advantages))
+            == _bits(ref_row_papo_surrogate_frozen(new, old, as_rows)))
+    loss, grads = papo_surrogate(new, advantages)
+    want_loss, want_grads = ref_row_papo_surrogate(new, as_rows)
+    assert _bits(loss) == _bits(want_loss)
+    assert ([[_bits(g) for g in row] for row in grads]
+            == [[_bits(g) for g in row] for row in want_grads])
+    assert type(grads) is tuple and all(type(row) is tuple for row in grads)

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paratrace import (BranchState, BudgetExceeded, EmissionLogView, IllegalSchema,
-                       LedgerExhausted, RadixCache, ScriptedPolicy, TokenLedger,
+                       LedgerExhausted, RadixCache, ScriptedPolicy, Token, TokenLedger,
                        apply_repetition_penalty, parse_document, run_generation,
-                       schedule_confluence_check, topology_stats,
+                       schedule_confluence_check, tokenize, topology_stats,
                        validate_structure)
-from paratrace import engine
+from paratrace import engine, tags, topology, validation
 from paratrace.engine import SCHEDULES
 from conftest import E1, line_events, python_calls
 from reference_engine import ref_generation
@@ -180,6 +180,31 @@ class TestValidatorGate:
             ScriptedPolicy(["<guideline>", "</guideline>"],
                            {"1": ["<step>", "<guideline>", "</step>"]},
                            ["<takeaway>", "</takeaway>"])
+
+    @pytest.mark.parametrize("where, script", [
+        ("prologue", (["<guideline>", None, "</guideline>"], {"1": ["<step>", "</step>"]})),
+        ("branch '1'", (["<guideline>", "</guideline>"], {"1": ["<step>", 5, "</step>"]})),
+        ("branch '2'", (["<guideline>", "</guideline>"],
+                        {"1": ["<step>", "</step>"], "2": ["<step>", ["x"], "</step>"]})),
+        ("tail", (["<guideline>", "</guideline>"], {"1": ["<step>", "</step>"]}, b"x")),
+    ], ids=["prologue", "branch-1", "branch-2", "tail"])
+    def test_script_tokens_must_be_str(self, where, script):
+        prologue, branches, *bad_tail = script
+        tail = ["<takeaway>", *bad_tail, "</takeaway>"]
+        with pytest.raises(ValueError, match=f"^{where} holds a token that is not a str$"):
+            ScriptedPolicy(prologue, branches, tail)
+
+    def test_script_tokens_are_kept_as_given(self):
+        word = tokenize("w")[0]
+        policy = ScriptedPolicy(["<guideline>", "<plan>", word, "</plan>", "</guideline>"],
+                                {"1": ["<step>", word, "</step>"]},
+                                ["<takeaway>", word, "</takeaway>"])
+        assert type(word) is Token
+        assert policy.prologue[2] is word
+        assert policy.branches["1"][1] is word
+        assert policy.takeaway[1] is word
+        run = run_generation(policy, *fresh())
+        assert [i for i, t in enumerate(run.doc.tokens) if t is word] == [2, 6, 9]
 
 
 class _SilentPolicy(ScriptedPolicy):
@@ -720,3 +745,23 @@ def test_a_jumped_branch_token_costs_almost_no_python_calls(warm):
         return python_calls(lambda: run_generation(policy, cache, TokenLedger(1 << 16)))
 
     assert (calls(300) - calls(100)) / (4 * 200) <= 0.1
+
+
+@pytest.mark.parametrize("n", [3, 2_000])
+def test_a_finished_rollout_is_scanned_once(monkeypatch, n):
+    """One run scans its header for the gate and its finished document once:
+    the parse and the stats share that one scan."""
+    scanned = []
+
+    def counting(texts, scan=tags.tag_scan):
+        scanned.append(len(texts))
+        return scan(texts)
+
+    # ``document`` reaches the scan through ``tags.tag_events``.
+    for module in (engine, topology, validation, tags):
+        monkeypatch.setattr(module, "tag_scan", counting, raising=False)
+    monkeypatch.setattr(topology, "_kept", (None, None))
+    policy = _four_branches(n)
+    run = run_generation(policy, *fresh(1 << 14, 1 << 14))
+    assert not [e for e in run.events if e.kind == "truncate"]
+    assert sorted(scanned) == [len(policy.prologue), len(run.doc.tokens)]
