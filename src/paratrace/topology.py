@@ -1,12 +1,13 @@
 """Parallel attention-mask and position-id construction.
 
-The mask, the position ids and the topology stats all come from one walk
-over the tags: one tag scan, which a validator pass gates and the walk then
-reads. The last walk is kept with its token sequence, so the builders called
-in turn on equal tokens share one walk. Sibling step regions of a block are
-mutually blocked in the mask, and their position ids all restart one past
-the guideline close, so a document's decode depth is ``max(position) + 1``
-instead of its token count.
+The mask, the position ids and the topology stats all come from one pass
+over the tags: one tag scan, read by the validator's state machine, which
+both gates the structure and lays out the step spans, the position runs and
+each block's stats. The last result is kept with its token sequence, so the
+builders called in turn on equal tokens share one pass. Sibling step regions
+of a block are mutually blocked in the mask, and their position ids all
+restart one past the guideline close, so a document's decode depth is
+``max(position) + 1`` instead of its token count.
 
 Step regions include their opening and closing step tags: the close tag
 occupies a position inside the step's extent, so it must be isolated along
@@ -25,8 +26,7 @@ import numpy as np
 
 from .document import Span, parse_document
 from .errors import ParseError, StructureError
-from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, STEP_CLOSE, STEP_OPEN, TAKEAWAY_OPEN,
-                   tag_scan)
+from .tags import tag_scan
 from .validation import validate_structure
 
 DENSE_LIMIT = 4096
@@ -136,74 +136,39 @@ def _step_at(group, k: int) -> int | None:
     return at if at >= 0 and k < group[at][1] else None
 
 
-class _TopoFrame:
-    __slots__ = ("steps", "open_step", "p_end", "l_max")
-
-    def __init__(self):
-        self.steps: list[tuple[int, int]] = []
-        self.open_step = -1
-        self.p_end = -1
-        self.l_max = 0
-
-
 # The last successful walk: its token sequence as a tuple, and its result.
 _kept: tuple = (None, None)
 
 
 def _walk(texts, events=None):
-    """The structure of ``texts``: one tag scan, gated on the validator, then walked.
+    """The structure of ``texts``: one tag scan, read by one validator pass.
 
     ``texts`` is a list or tuple of ``str``; its references are copied into
-    one tuple, which the scan (or the given ``events``, its scan), the
-    validator and the walk read, and which is kept as the key of the result.
-    A call on an equal sequence returns the kept result with no scan, no
-    gate and no walk; a walk that raises
-    :class:`StructureError` is not kept. Returns ``(groups, runs, blocks)``,
-    all immutable: ``groups`` holds, for each block of two or more steps,
-    its sibling step spans as ``(start, end)`` pairs; ``runs`` the position
-    ids as consecutive non-empty ``range`` runs; and ``blocks`` each block's
-    :class:`BlockStats`, blocks in join order. A step open restarts
-    positions one past the guideline close and the takeaway resumes one past
-    the longest step; between such shifts positions rise by one per token,
-    so each run is one ``range``.
+    one tuple, which the scan (or the given ``events``, its scan) and the
+    validator read, and which is kept as the key of the result. A call on an
+    equal sequence returns the kept result with no scan and no validator
+    pass. The report's first category-1 violation is raised as
+    :class:`StructureError`, and such a walk is not kept. Otherwise the
+    report carries the layout its pass made, and it is copied into
+    ``(groups, runs, blocks)``, all immutable: ``groups`` holds, for each
+    block of two or more steps, its sibling step spans as ``(start, end)``
+    pairs; ``runs`` the position ids as consecutive non-empty ``range``
+    runs; and ``blocks`` each block's :class:`BlockStats`, blocks in join
+    order.
     """
     global _kept
     key = tuple(texts)
     kept_key, kept = _kept
     if key == kept_key:
         return kept
-    events = tag_scan(key) if events is None else events
-    for v in validate_structure(key, events=events).violations:
+    report = validate_structure(key, events=tag_scan(key) if events is None else events)
+    for v in report.violations:
         if v.category == 1:
             raise StructureError(f"tag structure broken: {v.message}", v.index)
-    stack: list[_TopoFrame] = []
-    groups: list[tuple[tuple[int, int], ...]] = []
-    blocks: list[BlockStats] = []
-    runs: list[range] = []
-    start = shift = 0  # the current run holds i + shift for i from start on
-    for i, tag in zip(*events):
-        if tag is GUIDELINE_OPEN:
-            stack.append(_TopoFrame())
-        elif tag is GUIDELINE_CLOSE:
-            stack[-1].p_end = i + shift
-        elif tag is STEP_OPEN:
-            top = stack[-1]
-            top.open_step = i
-            runs.append(range(start + shift, i + shift))
-            start, shift = i, top.p_end + 1 - i
-        elif tag is STEP_CLOSE:
-            top = stack[-1]
-            top.steps.append((top.open_step, i + 1))
-            top.l_max = max(top.l_max, i + shift - top.p_end)
-        elif tag is TAKEAWAY_OPEN:
-            top = stack.pop()
-            if len(top.steps) > 1:
-                groups.append(tuple(top.steps))
-            blocks.append(BlockStats(len(top.steps), top.l_max))
-            runs.append(range(start + shift, i + shift))
-            start, shift = i, top.p_end + top.l_max + 1 - i
-    runs.append(range(start + shift, len(key) + shift))
-    result = tuple(groups), tuple(filter(None, runs)), tuple(blocks)
+    frames, bounds = report._layout
+    result = (tuple(tuple(zip(f.steps[::2], f.steps[1::2])) for f in frames if len(f.steps) > 2),
+              tuple(filter(None, map(range, bounds[::2], bounds[1::2]))),
+              tuple(BlockStats(len(f.steps) // 2, f.l_max) for f in frames))
     _kept = key, result
     return result
 

@@ -12,6 +12,7 @@ the earlier implementations.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -142,6 +143,49 @@ def test_a_given_scan_reads_like_a_fresh_one(tokens):
         topology._kept = (None, None)  # so that each call walks
         got.append(raised(topology_stats, tokens, events=events))
     assert got[0] == got[1]
+
+
+def mutable_parts(obj, found: dict) -> dict:
+    """``found`` plus each mutable object reachable from ``obj``, by id.
+
+    Ints, floats, strs, ranges and None are immutable leaves; tuples and
+    frozen dataclasses are immutable and looked into. Anything else counts
+    as mutable, and a list is looked into as well."""
+    if isinstance(obj, (int, float, str, range, type(None))):
+        return found
+    if isinstance(obj, tuple):
+        items = obj
+    elif dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen:
+        items = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        found[id(obj)] = obj
+        items = obj if isinstance(obj, list) else ()
+    for item in items:
+        mutable_parts(item, found)
+    return found
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(documents)
+def test_a_report_carries_the_layout_exactly_when_the_walk_reads_it(tokens):
+    """In both modes a report carries the walk's layout exactly when its
+    lenient form has no category-1 violation, and the layout changes no
+    comparison, repr or JSON. Walks from two reports of one trace hold no
+    mutable object, so they share none."""
+    walkable = not any(v.category == 1 for v in validate_structure(tokens).violations)
+    for strict in (False, True):
+        report = validate_structure(tokens, strict)
+        assert (report._layout is not None) == walkable
+        bare = dataclasses.replace(report, _layout=None)
+        assert report == bare and repr(report) == repr(bare)
+        assert report.to_json_dict() == bare.to_json_dict()
+    if walkable:
+        walked = []
+        for _ in range(2):
+            topology._kept = (None, None)  # so that each walk reads its own report
+            walked.append(topology._walk(tokens))
+        assert walked[0] == walked[1]
+        assert mutable_parts(walked[0], {}) == mutable_parts(walked[1], {}) == {}
 
 
 def header(plans: int, edits) -> list[str]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from paratrace import (AttentionMask, StructureError, build_attention_mask,
                        build_position_ids, corrupt, mask_from_spans_oracle,
-                       random_valid_document, topology_stats)
+                       random_valid_document, topology_stats, validate_structure)
 from paratrace import tags, topology
 from paratrace.topology import DENSE_LIMIT
 from conftest import (E1, E1_FULL, E1_POSITIONS, assert_topology_invariants,
@@ -389,3 +389,18 @@ def test_three_builders_cost_about_one_mask_build():
     together = line_events(lambda: (build_attention_mask(tokens), build_position_ids(tokens),
                                     topology_stats(tokens)))
     assert together <= 1.2 * mask_alone, (together, mask_alone)
+
+
+def test_a_mask_build_costs_little_more_than_one_validator_pass():
+    """The validator's pass lays out the mask: a fresh mask build adds to one
+    validator call only the scan and the copy of its layout, not a second
+    per-tag loop."""
+    docs = make_corpus(200, seed=3, max_depth=2)
+
+    def fresh_mask(tokens):
+        topology._kept = (None, None)
+        build_attention_mask(tokens)
+
+    built = sum(line_events(lambda: fresh_mask(tokens)) for tokens in docs)
+    validated = sum(line_events(lambda: validate_structure(tokens)) for tokens in docs)
+    assert built <= 1.3 * validated, (built, validated, built / validated)
