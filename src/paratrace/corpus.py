@@ -172,10 +172,15 @@ class CorpusSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorpusSpec":
         """The spec a JSON object states: weight-table keys are parsed from
-        strings into ints, and every other field is taken as it is."""
+        strings into ints, and every other field is taken as it is. A key
+        must be spelled as ``str`` spells its int, so no two keys name one
+        weight."""
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         for name, table in kwargs.items():
             if name.endswith("_weights"):
+                for k in table:
+                    if str(int(k)) != k:
+                        raise ValueError(f"{name} key {k!r} is not a plain decimal integer")
                 kwargs[name] = {int(k): w for k, w in table.items()}
         return cls(**kwargs)
 

@@ -137,16 +137,15 @@ class _Frame:
         self.takeaway_start: int | None = None
 
 
-def parse_document(tokens, *, events=None) -> ReasoningDoc:
+def parse_document(tokens) -> ReasoningDoc:
     """Parse a token sequence into a :class:`ReasoningDoc`.
 
     Raises :class:`UnbalancedTag` for unmatched or unclosed tags and
     :class:`MisplacedTag` for tags the grammar does not allow where they
     appear. Cardinality problems (a block with no plans or no steps) are not
     parse errors; the validator reports them. The document keeps its own
-    list of the tokens, the one copy the structure layer makes. ``events``
-    is :func:`~paratrace.tags.tag_scan` of ``tokens`` when the caller holds
-    it, read and not checked; without it the parser makes that scan itself.
+    list of the tokens, the one copy the structure layer makes, and reads
+    it through one tag scan.
     """
     texts = list(tokens)
     if not texts:
@@ -155,7 +154,7 @@ def parse_document(tokens, *, events=None) -> ReasoningDoc:
     frames: list[_Frame] = []
     blocks: list[ParallelBlock] = []
 
-    for i, tag in tag_events(texts) if events is None else zip(*events):
+    for i, tag in tag_events(texts):
         top = frames[-1] if frames else None
 
         if tag is GUIDELINE_OPEN:

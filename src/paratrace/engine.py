@@ -29,8 +29,8 @@ from .cache import CacheLease, RadixCache
 from .document import ReasoningDoc, parse_document
 from .errors import IllegalSchema, LedgerExhausted
 from .ledger import TokenLedger
-from .tags import (GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, STEP_CLOSE, STEP_OPEN, TAGS,
-                   TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events, tag_scan)
+from .tags import (_TAG_SET, GUIDELINE_CLOSE, GUIDELINE_OPEN, PLAN_CLOSE, STEP_CLOSE,
+                   STEP_OPEN, TAGS, TAKEAWAY_CLOSE, TAKEAWAY_OPEN, tag_events)
 from .topology import TopologyStats, topology_stats
 from .validation import TAG_RULES
 
@@ -40,8 +40,6 @@ CONFLUENCE_BUDGET = 1 << 16  # cache slots and new tokens per confluence run
 
 # The token that closes each opening tag: ``TAGS`` lists each open before its close.
 _CLOSER = dict(zip(TAGS[::2], TAGS[1::2]))
-# ``isdisjoint`` against this set tests a whole stream for tags in C.
-_TAG_SET = frozenset(TAGS)
 
 
 class GenerationEvent(NamedTuple):
@@ -117,6 +115,8 @@ class ScriptedPolicy:
     def __init__(self, prologue, branches: dict, takeaway):
         self.prologue = tuple(prologue)
         self.branches = {str(k): tuple(v) for k, v in branches.items()}
+        if len(self.branches) != len(branches):
+            raise ValueError(f"branch ids {list(branches)!r} are not distinct as str")
         self.takeaway = tuple(takeaway)
         self._check_streams()
 
@@ -213,8 +213,12 @@ def _validate_header(prologue, n_branches: int, strict: bool) -> str | None:
 class GenerationRun:
     doc: ReasoningDoc
     _log: tuple[list, list, list, list]  # the kind, step, branch and token columns
-    stats: TopologyStats
     decode_steps: int
+
+    @property
+    def stats(self) -> TopologyStats:
+        """The document's :func:`topology_stats`, built on each read."""
+        return topology_stats(self.doc.tokens)
 
     @property
     def events(self) -> list[GenerationEvent]:
@@ -450,9 +454,7 @@ def _jump_forward(run: _Run, active: list[BranchState], k: int) -> None:
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
-    events = tag_scan(tokens)
-    return GenerationRun(doc=parse_document(tokens, events=events), _log=run.log,
-                         stats=topology_stats(tokens, events=events), decode_steps=run.step)
+    return GenerationRun(parse_document(tokens), run.log, run.step)
 
 
 def schedule_confluence_check(policy: ScriptedPolicy) -> bool:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .document import Span, parse_document
 from .errors import ParseError, StructureError
-from .tags import tag_scan
 from .validation import validate_structure
 
 DENSE_LIMIT = 4096
@@ -140,14 +139,13 @@ def _step_at(group, k: int) -> int | None:
 _kept: tuple = (None, None)
 
 
-def _walk(texts, events=None):
-    """The structure of ``texts``: one tag scan, read by one validator pass.
+def _walk(texts):
+    """The structure of ``texts``: one validator pass, which makes one tag scan.
 
     ``texts`` is a list or tuple of ``str``; its references are copied into
-    one tuple, which the scan (or the given ``events``, its scan) and the
-    validator read, and which is kept as the key of the result. A call on an
-    equal sequence returns the kept result with no scan and no validator
-    pass. The report's first category-1 violation is raised as
+    one tuple, which the validator reads and which is kept as the key of the
+    result. A call on an equal sequence returns the kept result with no scan
+    and no validator pass. The report's first category-1 violation is raised as
     :class:`StructureError`, and such a walk is not kept. Otherwise the
     report carries the layout its pass made, and it is copied into
     ``(groups, runs, blocks)``, all immutable: ``groups`` holds, for each
@@ -161,7 +159,7 @@ def _walk(texts, events=None):
     kept_key, kept = _kept
     if key == kept_key:
         return kept
-    report = validate_structure(key, events=tag_scan(key) if events is None else events)
+    report = validate_structure(key)
     for v in report.violations:
         if v.category == 1:
             raise StructureError(f"tag structure broken: {v.message}", v.index)
@@ -239,15 +237,13 @@ class TopologyStats:
         }
 
 
-def topology_stats(tokens, *, events=None) -> TopologyStats:
+def topology_stats(tokens) -> TopologyStats:
     """Decode-depth statistics: critical path and compression ratio.
 
     The compression ratio (total tokens over critical path) is the simulated
-    speedup of parallel decode relative to left-to-right decode. ``events``
-    is :func:`~paratrace.tags.tag_scan` of ``tokens`` when the caller holds
-    it, read and not checked; without it the walk makes that scan itself.
+    speedup of parallel decode relative to left-to-right decode.
     """
-    _, runs, blocks = _walk(tokens, events)
+    _, runs, blocks = _walk(tokens)
     if not tokens:
         return TopologyStats(0, 0, 1.0, ())
     critical = max(map(attrgetter("stop"), runs))

@@ -118,18 +118,15 @@ class _Scan:
         self.steps: list[int] = []  # ints: no tuple per step for the collector
 
 
-def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False, *,
-                       events: tuple[list[int], list[str]] | None = None) -> ValidationReport:
+def validate_structure(texts: list[str] | tuple[str, ...],
+                       strict: bool = False) -> ValidationReport:
     """Evaluate the six structural categories over a trace.
 
     ``texts`` is a list or tuple of ``str`` (``Token`` included), read in
-    place. With ``strict=True``, nested blocks and plan/step count
-    mismatches are additionally reported as category-1 violations, and the
-    report's ``boxed_answer`` stays the parser's. ``events`` is the
-    ``(index, tag)`` events of ``texts``, when the caller already holds
-    them: the ``(indices, tags)`` lists that :func:`~paratrace.tags.tag_scan`
-    returns for ``texts``, read and not checked against them. Without it the
-    validator makes that scan itself.
+    place by one :func:`~paratrace.tags.tag_scan`. With ``strict=True``,
+    nested blocks and plan/step count mismatches are additionally reported
+    as category-1 violations, and the report's ``boxed_answer`` stays the
+    parser's.
     """
     violations: list[Violation] = []
 
@@ -147,8 +144,7 @@ def validate_structure(texts: list[str] | tuple[str, ...], strict: bool = False,
     shift = 0
     bounds = [0]
 
-    indices, tags = tag_scan(texts) if events is None else events
-    for i, tag in zip(indices, tags):
+    for i, tag in zip(*tag_scan(texts)):
         if tag is GUIDELINE_OPEN:
             if top is None or top.state == "step":
                 if strict and top is not None:

@@ -37,10 +37,14 @@ class Mutant:
     guards: str  # the change whose code the mutant undoes
 
 
-SCANNED_ONCE = ("tests/test_engine.py::test_a_finished_rollout_is_scanned_once[3]",
-                "tests/test_engine.py::test_a_finished_rollout_is_scanned_once[2000]")
 LAYOUT_INVARIANT = ("tests/test_structure_reference.py::"
                     "test_a_report_carries_the_layout_exactly_when_the_walk_reads_it")
+ANSWER_IS_THE_PARSERS = ("tests/test_structure_reference.py::test_report_answer_is_the_parsers",)
+STATS_ON_READ = ("tests/test_engine.py::test_stats_are_built_on_read[untruncated]",
+                 "tests/test_engine.py::test_stats_are_built_on_read[truncated]")
+JUMPS_LIKE_THE_REFERENCE = (
+    "tests/test_engine.py::test_reference_comparison_reaches_every_outcome",)
+RUN_EDGES = "tests/test_cache.py::TestRunEdges::"
 
 MUTANTS = (
     Mutant("step-span-ends-at-close", "validation.py",
@@ -63,28 +67,122 @@ MUTANTS = (
            "tuple(list(zip(f.steps[::2], f.steps[1::2]))",
            (LAYOUT_INVARIANT,),
            "one tag state machine: the validator lays out the walk"),
-    Mutant("walk-scans-twice", "topology.py",
-           "validate_structure(key, events=tag_scan(key) if events is None else events)",
-           "validate_structure(key, events=tag_scan(key))",
-           SCANNED_ONCE,
-           "one tag state machine: the validator lays out the walk"),
     Mutant("scan-returns-the-token", "tags.py",
            "list(map(_TAG_BY_TEXT.__getitem__, map(texts.__getitem__, indices)))",
            "list(map(texts.__getitem__, indices))",
            ("tests/test_document.py::TestTags::test_vocabulary",),
            "the one tag scan in compress and map"),
-    Mutant("finish-calls-scan-for-themselves", "engine.py",
-           "doc=parse_document(tokens, events=events), _log=run.log,\n"
-           "                         stats=topology_stats(tokens, events=events)",
-           "doc=parse_document(tokens), _log=run.log,\n"
-           "                         stats=topology_stats(tokens)",
-           SCANNED_ONCE,
-           "one scan per finished rollout"),
+    Mutant("finish-builds-stats", "engine.py",
+           "    return GenerationRun(parse_document(tokens), run.log, run.step)\n",
+           "    done = GenerationRun(parse_document(tokens), run.log, run.step)\n"
+           "    topology_stats(tokens)\n"
+           "    return done\n",
+           STATS_ON_READ,
+           "stats built on read"),
     Mutant("numpy-scalar-as-a-row", "advantages.py",
            "        if isinstance(adv, Real):\n",
            "        if isinstance(adv, (int, float)):\n",
            ("tests/test_advantages.py::TestScalarAdvantages::test_any_real_scalar_broadcasts",),
            "scalar advantages broadcast as one float"),
+    Mutant("misplaced-open-keeps-the-answer", "validation.py",
+           '                flag(1, i, "block may only open at top level or inside a step")\n'
+           "                balanced = False\n",
+           '                flag(1, i, "block may only open at top level or inside a step")\n',
+           ANSWER_IS_THE_PARSERS,
+           "filter predicts from the validator's one scan"),
+    Mutant("misplaced-tag-keeps-the-answer", "validation.py",
+           "            flag(1, i, message)\n            balanced = False\n",
+           "            flag(1, i, message)\n",
+           ANSWER_IS_THE_PARSERS,
+           "filter predicts from the validator's one scan"),
+    Mutant("unclosed-block-keeps-the-answer", "validation.py",
+           "    if not balanced or stack:\n",
+           "    if not balanced:\n",
+           ANSWER_IS_THE_PARSERS,
+           "filter predicts from the validator's one scan"),
+    Mutant("strict-nesting-clears-the-answer", "validation.py",
+           '                    flag(1, i, "nested block forbidden in strict mode")\n',
+           '                    flag(1, i, "nested block forbidden in strict mode")\n'
+           "                    balanced = False\n",
+           ANSWER_IS_THE_PARSERS,
+           "filter predicts from the validator's one scan"),
+    Mutant("filter-parses-again", "cli.py",
+           "        correct = exact_boxed_match(report.boxed_answer, gold)\n",
+           "        correct = (exact_boxed_match(report.boxed_answer, gold)\n"
+           "                   and parse_document(tokens) is not None)\n",
+           ("tests/test_cli.py::TestRewardAndFilter::test_filter_never_parses",),
+           "filter predicts from the validator's one scan"),
+    Mutant("run-flushes-from-an-old-position", "cache.py",
+           "            lease._node, lease._length = node, depth\n"
+           "            if i == n:\n"
+           "                break\n",
+           "            if i == n:\n"
+           "                lease._node, lease._length = node, depth\n"
+           "                break\n",
+           ("tests/test_rl_step.py::test_run_examples_flush_partway_and_overflow",),
+           "jump-forward rounds"),
+    Mutant("jump-takes-the-closing-round", "engine.py",
+           "                                    for b in active]) - 1)\n",
+           "                                    for b in active]))\n",
+           JUMPS_LIKE_THE_REFERENCE,
+           "jump-forward rounds"),
+    Mutant("jump-ignores-the-ledger", "engine.py",
+           "                k = min(ledger.remaining, cache.budget - cache.usage) // n\n",
+           "                k = (cache.budget - cache.usage) // n\n",
+           JUMPS_LIKE_THE_REFERENCE,
+           "jump-forward rounds"),
+    Mutant("jump-ignores-the-free-slots", "engine.py",
+           "                k = min(ledger.remaining, cache.budget - cache.usage) // n\n",
+           "                k = ledger.remaining // n\n",
+           JUMPS_LIKE_THE_REFERENCE,
+           "jump-forward rounds"),
+    Mutant("jump-logs-branch-major", "engine.py",
+           "    flat = list(chain.from_iterable(zip(*runs)))\n",
+           "    flat = list(chain.from_iterable(runs))\n",
+           JUMPS_LIKE_THE_REFERENCE,
+           "jump-forward rounds"),
+    Mutant("jump-counts-one-step-short", "engine.py",
+           "    run.step += k\n",
+           "    run.step += k - 1\n",
+           JUMPS_LIKE_THE_REFERENCE,
+           "jump-forward rounds"),
+    Mutant("charge-rounds-overcharges", "ledger.py",
+           "(self.max_new_tokens - self.charged) // active_branches)",
+           "(self.max_new_tokens - self.charged + 1) // active_branches)",
+           ("tests/test_ledger.py::test_charge_rounds_is_k_charges",),
+           "jump-forward rounds"),
+    Mutant("subclass-jumps-too", "engine.py",
+           "    scripted = type(policy).next_token is ScriptedPolicy.next_token\n",
+           "    scripted = isinstance(policy, ScriptedPolicy)\n",
+           JUMPS_LIKE_THE_REFERENCE,
+           "jump-forward rounds"),
+    Mutant("split-copies-the-suffix", "cache.py",
+           "        parent[node] = head\n        return head\n",
+           "        parent[node] = head\n"
+           "        self._run[node], self._base[node] = run[depth - base:], depth\n"
+           "        return head\n",
+           (RUN_EDGES + "test_a_split_copies_no_tokens",),
+           "run-length radix edges"),
+    Mutant("split-relocates-the-leases", "cache.py",
+           "        parent[node] = head\n        return head\n",
+           "        parent[node] = head\n"
+           "        for lease in self._leases:\n"
+           "            self._locate(lease)\n"
+           "        return head\n",
+           (RUN_EDGES + "test_a_split_does_not_walk_the_leases",),
+           "run-length radix edges"),
+    Mutant("run-extends-per-token", "cache.py",
+           "        tokens = list(tokens)\n        if not tokens:\n            return 0\n",
+           "        return sum(self.extend(lease, token) for token in tokens)\n",
+           (RUN_EDGES + "test_a_run_costs_the_same_lines_at_any_length",),
+           "run-length radix edges"),
+    Mutant("finished-run-keeps-records", "engine.py",
+           "    return GenerationRun(parse_document(tokens), run.log, run.step)\n",
+           "    done = GenerationRun(parse_document(tokens), run.log, run.step)\n"
+           "    done.__dict__['records'] = done.events\n"
+           "    return done\n",
+           ("tests/test_rl_step.py::test_logs_are_stored_plain_and_read_as_records",),
+           "run-length radix edges: the event log as columns"),
 )
 
 

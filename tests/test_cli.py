@@ -941,6 +941,21 @@ def test_out_of_range_spec_is_an_input_error(tmp_path, capsys, tables):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("table, key", [
+    ('{"2": 5.0, "02": 1.0}', "'02'"),
+    ('{"1_0": 1.0}', "'1_0'"),
+])
+def test_weight_key_in_another_spelling_is_an_input_error(tmp_path, capsys, table, key):
+    """A weight key is read only as ``str`` spells its int: "02" would merge
+    into "2" and "1_0" read as 10."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"documents": 3, "steps_per_block_weights": ' + table + "}")
+    assert run_cli("--output-dir", tmp_path / "out", "gen-corpus", "--spec-file", spec) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"[{spec}]") and f"steps_per_block_weights key {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _writes_a_file(call: ast.Call) -> bool:
     """``x.write_text(...)``, ``x.write_bytes(...)``, or ``open``/``x.open``
     with a mode that is not a plain read (or that cannot be read off the call)."""

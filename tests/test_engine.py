@@ -194,6 +194,15 @@ class TestValidatorGate:
         with pytest.raises(ValueError, match=f"^{where} holds a token that is not a str$"):
             ScriptedPolicy(prologue, branches, tail)
 
+    def test_branch_ids_must_stay_distinct_as_str(self):
+        branch = ["<step>", "x", "</step>"]
+        with pytest.raises(ValueError, match=r"^branch ids \[1, '1'\] are not distinct as str$"):
+            ScriptedPolicy(["<guideline>", "</guideline>"], {1: branch, "1": branch},
+                           ["<takeaway>", "</takeaway>"])
+        policy = ScriptedPolicy(["<guideline>", "</guideline>"], {1: branch, "2": branch},
+                                ["<takeaway>", "</takeaway>"])
+        assert policy.branch_ids == ("1", "2")
+
     def test_script_tokens_are_kept_as_given(self):
         word = tokenize("w")[0]
         policy = ScriptedPolicy(["<guideline>", "<plan>", word, "</plan>", "</guideline>"],
@@ -749,8 +758,8 @@ def test_a_jumped_branch_token_costs_almost_no_python_calls(warm):
 
 @pytest.mark.parametrize("n", [3, 2_000])
 def test_a_finished_rollout_is_scanned_once(monkeypatch, n):
-    """One run scans its header for the gate and its finished document once:
-    the parse and the stats share that one scan."""
+    """One run scans its header for the gate and its finished document once,
+    for the parse; the stats are not built until they are read."""
     scanned = []
 
     def counting(texts, scan=tags.tag_scan):
@@ -765,3 +774,24 @@ def test_a_finished_rollout_is_scanned_once(monkeypatch, n):
     run = run_generation(policy, *fresh(1 << 14, 1 << 14))
     assert not [e for e in run.events if e.kind == "truncate"]
     assert sorted(scanned) == [len(policy.prologue), len(run.doc.tokens)]
+
+
+@pytest.mark.parametrize("budget", [4096, 9], ids=["untruncated", "truncated"])
+def test_stats_are_built_on_read(monkeypatch, budget):
+    """A run walks no structure: it makes no ``validate_structure`` call, by
+    either module's name, and ``run.stats`` is the finished document's
+    ``topology_stats``, built when read."""
+    calls = []
+
+    def counting(texts, strict=False, real=validation.validate_structure):
+        calls.append(len(texts))
+        return real(texts, strict)
+
+    for module in (topology, validation):
+        monkeypatch.setattr(module, "validate_structure", counting)
+    monkeypatch.setattr(topology, "_kept", (None, None))
+    run = run_generation(e1_policy(), *fresh(max_new_tokens=budget))
+    assert any(e.kind == "truncate" for e in run.events) == (budget < 18)
+    assert calls == []
+    assert run.stats == topology_stats(run.doc.tokens)
+    assert calls == [len(run.doc.tokens)]

@@ -26,7 +26,6 @@ from paratrace import (AttentionMask, ParseError, StructureError, Token, build_a
                        topology_stats, validate_structure)
 from paratrace.engine import _validate_header
 from paratrace import tags, topology
-from paratrace.tags import tag_scan
 from reference_structure import (ref_attention_mask, ref_position_ids, ref_tokenize,
                                  ref_topology_stats, ref_validate_header,
                                  ref_validate_structure)
@@ -107,7 +106,6 @@ def test_validator_matches_reference(tokens):
     for strict in (False, True):
         want = ref_validate_structure(tokens, strict)
         assert validate_structure(tokens, strict) == want
-        assert validate_structure(tokens, strict, events=tag_scan(tokens)) == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -121,28 +119,6 @@ def test_report_answer_is_the_parsers(tokens):
         want = None
     for strict in (False, True):
         assert validate_structure(tokens, strict).boxed_answer == want
-
-
-def raised(fn, tokens, **kwargs):
-    """``fn(tokens, **kwargs)``, or the type, index and message of its raise."""
-    try:
-        return fn(tokens, **kwargs)
-    except Exception as exc:  # noqa: BLE001 - every raise is compared
-        return type(exc), getattr(exc, "index", None), str(exc)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(documents)
-def test_a_given_scan_reads_like_a_fresh_one(tokens):
-    """``events=tag_scan(tokens)`` gives the parse and the stats of the call
-    that scans for itself, and on a broken trace the same raise."""
-    assert (raised(parse_document, tokens, events=tag_scan(tokens))
-            == raised(parse_document, tokens))
-    got = []
-    for events in (tag_scan(tokens), None):
-        topology._kept = (None, None)  # so that each call walks
-        got.append(raised(topology_stats, tokens, events=events))
-    assert got[0] == got[1]
 
 
 def mutable_parts(obj, found: dict) -> dict:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from paratrace import (AttentionMask, StructureError, build_attention_mask,
                        build_position_ids, corrupt, mask_from_spans_oracle,
                        random_valid_document, topology_stats, validate_structure)
-from paratrace import tags, topology
+from paratrace import tags, topology, validation
 from paratrace.topology import DENSE_LIMIT
 from conftest import (E1, E1_FULL, E1_POSITIONS, assert_topology_invariants,
                       e1_expected_mask, line_events, make_corpus)
@@ -280,7 +280,7 @@ def walks(monkeypatch):
     def counting_scan(texts):
         walked.append(len(texts))
         return tags.tag_scan(texts)
-    monkeypatch.setattr(topology, "tag_scan", counting_scan)
+    monkeypatch.setattr(validation, "tag_scan", counting_scan)
     build_position_ids(["a", "b"])  # walk some other sequence first
     walked.clear()
     return walked
