@@ -179,7 +179,11 @@ class CorpusSpec:
         for name, table in kwargs.items():
             if name.endswith("_weights"):
                 for k in table:
-                    if str(int(k)) != k:
+                    try:
+                        plain = str(int(k)) == k
+                    except ValueError:  # no integer at all, or too many digits
+                        plain = False
+                    if not plain:
                         raise ValueError(f"{name} key {k!r} is not a plain decimal integer")
                 kwargs[name] = {int(k): w for k, w in table.items()}
         return cls(**kwargs)

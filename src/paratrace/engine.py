@@ -7,7 +7,9 @@ global token ledger, and after the join the tail (takeaway plus epilogue)
 decodes sequentially again. A plain :class:`ScriptedPolicy` reads no
 context, so its branches jump forward k > 1 rounds at a time where no
 branch closes, no ledger shortfall and no flush can happen; a class that
-overrides ``next_token`` decodes token by token.
+overrides ``next_token`` decodes token by token. A jump is logged as one
+segment, which ``GenerationRun.events`` and ``branch_streams`` expand on each
+read, and it writes no emission log, since no policy that jumps reads it.
 
 Everything is replayable: identical (policy, budgets, schedule) inputs yield
 identical event logs. When the ledger runs dry the simulator force-closes
@@ -209,11 +211,43 @@ def _validate_header(prologue, n_branches: int, strict: bool) -> str | None:
     return None
 
 
+def _spliced(log: tuple[list, ...], jumps: list) -> tuple[list, ...]:
+    """The log's four columns with each jump segment expanded round-major
+    at its ``at``: the column length when the jump was taken."""
+    columns = ([], [], [], [])
+    kinds, steps, branches, tokens = columns
+    done = 0
+    for at, step, k, bids, runs in jumps:
+        for out, column in zip(columns, log):
+            out += column[done:at]
+        n, done = len(bids), at
+        kinds += repeat("emit", n * k)
+        steps += chain.from_iterable(map(repeat, range(step, step + k), repeat(n)))
+        branches += islice(cycle(bids), n * k)
+        tokens += chain.from_iterable(zip(*runs))
+    for out, column in zip(columns, log):
+        out += column[done:]
+    return columns
+
+
 @dataclass
 class GenerationRun:
+    """A finished rollout. Its event log is stored as the per-token columns
+    plus one segment per jump, a jump having written neither the columns nor
+    the emission log; ``events`` and :meth:`branch_streams` expand the
+    segments on each read."""
+
     doc: ReasoningDoc
     _log: tuple[list, list, list, list]  # the kind, step, branch and token columns
+    _jumps: list  # (at, step, k, branch_ids, runs) per jump, in log order
     decode_steps: int
+
+    def __eq__(self, other):
+        """Equal documents, steps and events, however the logs are stored."""
+        if not isinstance(other, GenerationRun):
+            return NotImplemented
+        return (self.doc, self.decode_steps, self.events) == (
+            other.doc, other.decode_steps, other.events)
 
     @property
     def stats(self) -> TopologyStats:
@@ -223,11 +257,11 @@ class GenerationRun:
     @property
     def events(self) -> list[GenerationEvent]:
         """The event log as records, built on each read."""
-        return list(map(_event_record, zip(*self._log)))
+        return list(map(_event_record, zip(*_spliced(self._log, self._jumps))))
 
     def branch_streams(self) -> dict[str, list[str]]:
         """Per-branch token streams (emitted and forced) from the event log."""
-        kinds, _, branches, tokens = self._log
+        kinds, _, branches, tokens = _spliced(self._log, self._jumps)
         streams: dict[str, list[str]] = {}
         for kind, branch, token in zip(kinds, branches, tokens):
             if kind in ("emit", "truncate") and branch is not None and token is not None:
@@ -244,8 +278,12 @@ class _Run:
         self.cache = cache
         self.ledger = ledger
         self.schedule = schedule
-        # The event log as columns: kinds, steps, branches and tokens.
+        # The event log as columns: kinds, steps, branches and tokens, with
+        # each jump kept as one segment (see ``GenerationRun``). A jump writes
+        # no emission log, since only a policy that reads no context jumps, so
+        # the emission log holds every token only for runs that never jump.
         self.log: tuple[list, list, list, list] = ([], [], [], [])
+        self.jumps: list[tuple] = []
         self.emission_log: list[str] = []
         self.step = 0
 
@@ -432,10 +470,12 @@ def _jump_forward(run: _Run, active: list[BranchState], k: int) -> None:
     """Decode ``k`` rounds of ``active`` as the per-token loop would, given
     that none flushes, falls short or closes a branch. Branch-major inserts
     give the tree, hits and child order of round-major ones, because at each
-    depth the branches reach new nodes in round order; the ledger, log and
-    events are written round-major."""
-    streams, n, step = run.policy.branches, len(active), run.step
-    run.ledger.charge_rounds(n, k)
+    depth the branches reach new nodes in round order. The ledger is charged
+    round-major, and the k·n emits are logged as one segment, which reads
+    round-major; the emission log is not written, as the policy reads no
+    context and the per-token loop reads only its growth."""
+    streams = run.policy.branches
+    run.ledger.charge_rounds(len(active), k)
     runs = []
     for b in active:
         start = len(b.emitted)
@@ -443,18 +483,13 @@ def _jump_forward(run: _Run, active: list[BranchState], k: int) -> None:
         run.cache.extend_run(b.lease, tokens)
         b.emitted.extend(tokens)
         runs.append(tokens)
-    flat = list(chain.from_iterable(zip(*runs)))
-    run.emission_log.extend(flat)
-    kinds, steps, branches, tokens = run.log
-    kinds.extend(repeat("emit", n * k))
-    steps.extend(chain.from_iterable(map(repeat, range(step, step + k), repeat(n))))
-    branches.extend(islice(cycle([b.branch_id for b in active]), n * k))
-    tokens.extend(flat)
+    run.jumps.append((len(run.log[0]), run.step, k,
+                      tuple(b.branch_id for b in active), tuple(runs)))
     run.step += k
 
 
 def _finish(run: _Run, tokens: list[str]) -> GenerationRun:
-    return GenerationRun(parse_document(tokens), run.log, run.step)
+    return GenerationRun(parse_document(tokens), run.log, run.jumps, run.step)
 
 
 def schedule_confluence_check(policy: ScriptedPolicy) -> bool:

@@ -5,10 +5,12 @@ run only those. The script first runs every listed killer test on an
 unmutated copy of ``src/``, which must pass. Then, for each mutant, it
 copies ``src/`` to a temporary directory, replaces the mutant's snippet
 with its replacement there, and runs the mutant's killers against that copy
-with ``pytest -x``. A mutant is killed when a killer fails. The script
-exits non-zero when a mutant survives, when its snippet no longer occurs
-exactly once in its file, or when its killers cannot be run (a killer
-id that no longer names a test is such a case).
+with ``pytest -x``. A mutant is killed when a killer fails, and killed by
+timeout when its killers run past ``TIMEOUT_S`` (a mutant that makes a test
+loop forever). The script exits non-zero when a mutant survives, when its
+snippet no longer occurs exactly once in its file, or when its killers
+cannot be run (a killer id that no longer names a test, or killers that
+time out on the unmutated copy, are such cases).
 
 Pytest collects only ``test_*.py``, so tier-1 never runs this file. When a
 change adds a fast path, add its mutants to ``MUTANTS``.
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120  # per pytest run; every killer set here passes in well under 60 s
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,8 @@ STATS_ON_READ = ("tests/test_engine.py::test_stats_are_built_on_read[untruncated
                  "tests/test_engine.py::test_stats_are_built_on_read[truncated]")
 JUMPS_LIKE_THE_REFERENCE = (
     "tests/test_engine.py::test_reference_comparison_reaches_every_outcome",)
+JUMPS_LOG_LIKE_THE_REFERENCE = JUMPS_LIKE_THE_REFERENCE + (
+    "tests/test_engine.py::test_event_logs_match_golden_digest",)
 RUN_EDGES = "tests/test_cache.py::TestRunEdges::"
 
 MUTANTS = (
@@ -73,8 +78,8 @@ MUTANTS = (
            ("tests/test_document.py::TestTags::test_vocabulary",),
            "the one tag scan in compress and map"),
     Mutant("finish-builds-stats", "engine.py",
-           "    return GenerationRun(parse_document(tokens), run.log, run.step)\n",
-           "    done = GenerationRun(parse_document(tokens), run.log, run.step)\n"
+           "    return GenerationRun(parse_document(tokens), run.log, run.jumps, run.step)\n",
+           "    done = GenerationRun(parse_document(tokens), run.log, run.jumps, run.step)\n"
            "    topology_stats(tokens)\n"
            "    return done\n",
            STATS_ON_READ,
@@ -137,10 +142,23 @@ MUTANTS = (
            JUMPS_LIKE_THE_REFERENCE,
            "jump-forward rounds"),
     Mutant("jump-logs-branch-major", "engine.py",
-           "    flat = list(chain.from_iterable(zip(*runs)))\n",
-           "    flat = list(chain.from_iterable(runs))\n",
+           "        tokens += chain.from_iterable(zip(*runs))\n",
+           "        tokens += chain.from_iterable(runs)\n",
            JUMPS_LIKE_THE_REFERENCE,
            "jump-forward rounds"),
+    Mutant("jump-segment-spliced-at-the-end", "engine.py",
+           "    for at, step, k, bids, runs in jumps:\n",
+           "    for _, step, k, bids, runs in jumps:\n"
+           "        at = len(log[0])\n",
+           JUMPS_LOG_LIKE_THE_REFERENCE,
+           "a jump is one log segment"),
+    Mutant("runs-compare-by-storage", "engine.py",
+           "        return (self.doc, self.decode_steps, self.events) == (\n"
+           "            other.doc, other.decode_steps, other.events)\n",
+           "        return (self.doc, self.decode_steps, self._log, self._jumps) == (\n"
+           "            other.doc, other.decode_steps, other._log, other._jumps)\n",
+           ("tests/test_engine.py::test_runs_compare_by_their_events_not_their_storage",),
+           "a jump is one log segment"),
     Mutant("jump-counts-one-step-short", "engine.py",
            "    run.step += k\n",
            "    run.step += k - 1\n",
@@ -177,8 +195,8 @@ MUTANTS = (
            (RUN_EDGES + "test_a_run_costs_the_same_lines_at_any_length",),
            "run-length radix edges"),
     Mutant("finished-run-keeps-records", "engine.py",
-           "    return GenerationRun(parse_document(tokens), run.log, run.step)\n",
-           "    done = GenerationRun(parse_document(tokens), run.log, run.step)\n"
+           "    return GenerationRun(parse_document(tokens), run.log, run.jumps, run.step)\n",
+           "    done = GenerationRun(parse_document(tokens), run.log, run.jumps, run.step)\n"
            "    done.__dict__['records'] = done.events\n"
            "    return done\n",
            ("tests/test_rl_step.py::test_logs_are_stored_plain_and_read_as_records",),
@@ -186,13 +204,18 @@ MUTANTS = (
 )
 
 
-def run_tests(src: Path, killers, cwd: str) -> int:
+def run_tests(src: Path, killers, cwd: str) -> int | None:
     """Pytest's exit code for ``killers`` run with ``-x`` against the
-    package in ``src``."""
+    package in ``src``, or None when the run passes ``TIMEOUT_S`` and is
+    stopped."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *(str(ROOT / k) for k in killers)]
-    return subprocess.run(command, cwd=cwd, env=env, capture_output=True).returncode
+    try:
+        return subprocess.run(command, cwd=cwd, env=env, capture_output=True,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def copy_src(tmp: str) -> Path:
@@ -210,6 +233,8 @@ def verdict(mutant: Mutant) -> str:
         (src / "paratrace" / mutant.path).write_text(
             text.replace(mutant.snippet, mutant.replacement))
         code = run_tests(src, mutant.killers, tmp)
+    if code is None:
+        return "killed (timeout)"
     if code == 1:
         return "killed"
     if code == 0:
@@ -234,16 +259,21 @@ def main(names: list[str]) -> int:
             print(f"the copy is not what is imported: paratrace is {where or 'missing'}")
             return 2
         code = run_tests(src, killers, tmp)
+    if code is None:
+        print(f"the killers run past {TIMEOUT_S} s on the unmutated source")
+        return 2
     if code != 0:
         print(f"the killers do not pass on the unmutated source (pytest exited {code};"
               " 4 means a killer id names no test)")
         return 2
-    failed = 0
+    failed = timeouts = 0
     for mutant in mutants:
         result = verdict(mutant)
-        failed += result != "killed"
-        print(f"{mutant.name:36} {result:10}  {mutant.path}: {mutant.guards}")
-    print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
+        failed += not result.startswith("killed")
+        timeouts += result == "killed (timeout)"
+        print(f"{mutant.name:36} {result:16}  {mutant.path}: {mutant.guards}", flush=True)
+    print(f"{len(mutants) - failed} of {len(mutants)} mutants killed,"
+          f" {timeouts} of them by timeout")
     return 1 if failed else 0
 
 

@@ -944,10 +944,13 @@ def test_out_of_range_spec_is_an_input_error(tmp_path, capsys, tables):
 @pytest.mark.parametrize("table, key", [
     ('{"2": 5.0, "02": 1.0}', "'02'"),
     ('{"1_0": 1.0}', "'1_0'"),
+    ('{"a": 1.0}', "'a'"),
+    pytest.param('{"' + "9" * 5000 + '": 1.0}', "'" + "9" * 5000 + "'", id="5000-digits"),
 ])
 def test_weight_key_in_another_spelling_is_an_input_error(tmp_path, capsys, table, key):
     """A weight key is read only as ``str`` spells its int: "02" would merge
-    into "2" and "1_0" read as 10."""
+    into "2" and "1_0" read as 10. A key that is no integer, or has more
+    digits than ``int`` reads, is refused under the same message."""
     spec = tmp_path / "spec.json"
     spec.write_text('{"documents": 3, "steps_per_block_weights": ' + table + "}")
     assert run_cli("--output-dir", tmp_path / "out", "gen-corpus", "--spec-file", spec) == 2

@@ -1,8 +1,10 @@
 """Fork/join simulator: replay fidelity, gating, truncation, confluence."""
 
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -754,6 +756,37 @@ def test_a_jumped_branch_token_costs_almost_no_python_calls(warm):
         return python_calls(lambda: run_generation(policy, cache, TokenLedger(1 << 16)))
 
     assert (calls(300) - calls(100)) / (4 * 200) <= 0.1
+
+
+def test_a_jumped_run_keeps_few_bytes_per_token():
+    """The same four branches of 2,000 tokens with a plain ``ScriptedPolicy``
+    and ample ledger and cache: the finished run keeps alive at most 32 bytes
+    per output token, the cache dropped. A jump is one log segment, not four
+    column entries per token. Measured: about 17 bytes, and about 50 when
+    every jumped token is written to the columns."""
+    policy = _four_branches(2_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = run_generation(policy, *fresh(1 << 16, 1 << 16))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(run.events) == 4 * 2_000 + 27
+    assert kept / len(run.doc.tokens) <= 32, kept / len(run.doc.tokens)
+
+
+def test_runs_compare_by_their_events_not_their_storage():
+    """A run logged in jump segments equals the same script decoded token by
+    token, and a run whose events differ only in order does not."""
+    jumped = run_generation(_four_branches(50), *fresh())
+    per_token = run_generation(_four_branches(50, _LookupPolicy), *fresh())
+    assert jumped._jumps and not per_token._jumps
+    assert jumped == per_token
+    branch_major = run_generation(_four_branches(50), *fresh(), schedule="branch_major")
+    assert branch_major.doc == jumped.doc and branch_major != jumped
 
 
 @pytest.mark.parametrize("n", [3, 2_000])
