@@ -9,16 +9,18 @@ gives the part above the cut to a new node over the same list, copying no
 token, and a childless node's edge ends at its list's end, so a lease at a
 leaf's end grows it in place. The collector tracks one list per run, not one
 object per token. Every non-root node holds a token and freed ids are reused,
-so the tables never exceed ``budget + 1`` entries.
+so the tables never exceed ``budget + 1`` entries. Only ``_new`` allocates.
 
 Callers acquire leases. A lease is live exactly while it is in its cache's
 registry, and it pins its position, a length on the edge of the node it
-names, and so every token above it. A split leaves the leases above the cut
-naming the node below it; each climbs the parent links when next used. So no
-operation walks a lease's path or the registry: matching, inserting or
-appending a run takes O(1) Python steps plus C-level list work, and a split
-or a release O(1). A lease the registry does not hold, because it was
-released or another cache made it, is refused with :class:`DoubleRelease`.
+names, and so every token above it; it is the only pin, and an insertion
+registers its own before it reserves slots. A split leaves the leases above
+the cut naming the node below it; each climbs the parent links when next
+used. So no operation walks a lease's path or the registry: matching,
+inserting or appending a run takes O(1) Python steps plus C-level list work,
+and a split or a release O(1). A lease the registry does not hold, because
+it was released or another cache made it, is refused with
+:class:`DoubleRelease`.
 
 Slots are reclaimed only under pressure: when an insertion would overflow the
 budget, :meth:`RadixCache.flush` keeps every token at or above a pinned
@@ -70,8 +72,6 @@ class RadixCache:
         self._free: list[int] = []
         # The live leases, in the order they were made (a dict for its order).
         self._leases: dict[CacheLease, None] = {}
-        # The position an insertion is about to grow from: pinned while it flushes.
-        self._protect = (0, 0)
 
     # -- queries ---------------------------------------------------------
 
@@ -107,16 +107,20 @@ class RadixCache:
     def match_and_insert(self, tokens) -> CacheLease:
         """Pin ``tokens`` in the cache, inserting the unmatched suffix.
 
-        The new lease pins its end. If the suffix does not fit, unpinned
-        tokens are flushed first, sparing the matched prefix; if it still does
-        not fit, raises :class:`BudgetExceeded`, inserting nothing and making
-        no lease.
+        The new lease pins its end. It is registered at the matched prefix
+        before the suffix's slots are reserved, so a flush spares that prefix;
+        if the suffix still does not fit, the lease is unregistered and
+        :class:`BudgetExceeded` raised, inserting nothing and making no lease.
         """
         tokens = list(tokens)
         node, matched, _ = self._match(0, 0, tokens, 0)
-        self._reserve(len(tokens) - matched, protect=(node, matched))
         lease = CacheLease(node, matched)
         self._leases[lease] = None
+        try:
+            self._reserve(len(tokens) - matched)
+        except BudgetExceeded:
+            del self._leases[lease]
+            raise
         # The slots are reserved, so growing the lease cannot flush. The base
         # class's ``extend_run`` is called so that a subclass overriding it
         # sees only its own callers' tokens.
@@ -153,22 +157,7 @@ class RadixCache:
             lease._length = depth + 1
             lease.new_slots += 1
             return 1
-        # Allocated inline: an inserted slot makes no Python-level call.
-        free = self._free
-        if free:
-            child = free.pop()
-            self._children[child] = {}
-            parent[child] = node
-            self._run[child] = [token]
-            self._base[child] = depth
-            end[child] = depth + 1
-        else:
-            child = len(parent)
-            self._children.append({})
-            parent.append(node)
-            self._run.append([token])
-            self._base.append(depth)
-            end.append(depth + 1)
+        child = self._new(node, [token], depth, depth + 1)
         self._children[node][token] = child
         self.usage += 1
         lease._node, lease._length = child, depth + 1
@@ -269,8 +258,6 @@ class RadixCache:
         parent, children, run, base, end = (self._parent, self._children, self._run,
                                             self._base, self._end)
         deepest = {0: 0}  # node -> the deepest pin on its edge
-        node, depth = self._protect
-        deepest[node] = depth
         for lease in self._leases:
             node, depth = self._locate(lease), lease._length
             if deepest.get(node, -1) < depth:
@@ -300,17 +287,13 @@ class RadixCache:
         self.usage = usage
         return freed
 
-    def _reserve(self, need: int, protect: tuple[int, int] = (0, 0)) -> None:
+    def _reserve(self, need: int) -> None:
+        """Free ``need`` slots, flushing if needed, or raise :class:`BudgetExceeded`.
+        The caller's lease, registered first, pins the position it grows from."""
         if need <= self.budget - self.usage:
             return
-        # Pin the position the caller is about to grow from for the duration
-        # of the flush; pinning it keeps every token above it too.
-        self._protect = protect
-        try:
-            self.flush_count += 1
-            self.flush()
-        finally:
-            self._protect = (0, 0)
+        self.flush_count += 1
+        self.flush()
         if need > self.budget - self.usage:
             live = self.usage
             raise BudgetExceeded(

@@ -298,26 +298,22 @@ class _Run:
 
     # -- phases ----------------------------------------------------------
 
-    def emit(self, out: list[str], token: str, lease: CacheLease) -> None:
-        """Append one charged main-stream token to ``out``, the cache, the log
-        and the events.
-
-        Within a run only ``extend`` can flush, at most once a call, so a
-        moved flush count is one ``flush`` event, logged before the emit."""
-        flushes = self.cache.flush_count
-        self.cache.extend(lease, token)
-        if self.cache.flush_count != flushes:
-            self._event("flush")
-        out.append(token)
-        self.emission_log.append(token)
-        self._event("emit", token=token)
-
     def sequential(self, out: list[str], stream, lease: CacheLease) -> bool:
-        """Emit a stream one token per step. False when the ledger ran dry."""
+        """Emit a stream one token per step into ``out``, the cache, the
+        emission log and the events. False when the ledger ran dry."""
+        cache = self.cache
         for token in stream:
             if self.ledger.charge(1) < 1:
                 return False
-            self.emit(out, token, lease)
+            # Within a run only ``extend`` can flush, at most once a call, so
+            # a moved flush count is one ``flush`` event, logged before the emit.
+            flushes = cache.flush_count
+            cache.extend(lease, token)
+            if cache.flush_count != flushes:
+                self._event("flush")
+            out.append(token)
+            self.emission_log.append(token)
+            self._event("emit", token=token)
             self.step += 1
         return True
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import reprlib
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,12 +19,28 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
+# A JSON string or number: enough of the grammar to find a number in a text.
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
 def loads(text: str):
     """``json.loads`` that also refuses lone surrogate escapes such as
-    ``"\\ud800"``: no UTF-8 output can hold them. Raises ``ValueError``."""
-    data = json.loads(text)
-    if "\\u" in text:
-        dumps(data).encode("utf-8")
+    ``"\\ud800"``: no UTF-8 output can hold them. Raises ``ValueError``; a
+    text the decoder refuses, too deep or too long an integer included, raises
+    ``json.JSONDecodeError``."""
+    try:
+        data = json.loads(text)
+        if "\\u" in text:
+            dumps(data).encode("utf-8")
+    except RecursionError:  # in the decoder, or in the encoder a little less deep
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+    except (json.JSONDecodeError, UnicodeEncodeError):
+        raise
+    except ValueError:  # ``int`` refused an integer of too many digits
+        limit = sys.get_int_max_str_digits()
+        at = next((m.start() for m in _STRING_OR_NUMBER.finditer(text)
+                   if (digits := m[0].lstrip("-")).isdigit() and len(digits) > limit), 0)
+        raise json.JSONDecodeError(f"an integer of more than {limit} digits", text, at) from None
     return data
 
 
@@ -108,7 +126,10 @@ def read_json_object(path, schema: Schema) -> dict:
     path = _input_file(path)
     try:
         data = loads(path.read_text(encoding="utf-8"))
-    except (UnicodeError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad {schema.name}: {exc.msg} at column {exc.colno}",
+                         str(path), exc.lineno) from exc
+    except UnicodeError as exc:
         raise InputError(f"bad {schema.name}: {exc}", str(path)) from exc
     return check_fields(data, schema, path)
 

@@ -201,6 +201,38 @@ MUTANTS = (
            "    return done\n",
            ("tests/test_rl_step.py::test_logs_are_stored_plain_and_read_as_records",),
            "run-length radix edges: the event log as columns"),
+    Mutant("refusal-keeps-its-lease", "cache.py",
+           "        except BudgetExceeded:\n"
+           "            del self._leases[lease]\n"
+           "            raise\n",
+           "        except BudgetExceeded:\n"
+           "            raise\n",
+           ("tests/test_cache.py::TestMatchAndInsert::test_a_refusal_leaves_no_lease",),
+           "one pin: an insertion pins through its own lease"),
+    Mutant("lease-pinned-after-the-flush", "cache.py",
+           "        self._leases[lease] = None\n"
+           "        try:\n"
+           "            self._reserve(len(tokens) - matched)\n"
+           "        except BudgetExceeded:\n"
+           "            del self._leases[lease]\n"
+           "            raise\n",
+           "        self._reserve(len(tokens) - matched)\n"
+           "        self._leases[lease] = None\n",
+           ("tests/test_cache.py::TestMatchAndInsert::test_matched_path_protected_during_flush",),
+           "one pin: an insertion pins through its own lease"),
+    Mutant("main-stream-flush-after-emit", "engine.py",
+           "            if cache.flush_count != flushes:\n"
+           "                self._event(\"flush\")\n"
+           "            out.append(token)\n"
+           "            self.emission_log.append(token)\n"
+           "            self._event(\"emit\", token=token)\n",
+           "            out.append(token)\n"
+           "            self.emission_log.append(token)\n"
+           "            self._event(\"emit\", token=token)\n"
+           "            if cache.flush_count != flushes:\n"
+           "                self._event(\"flush\")\n",
+           ("tests/test_engine.py::test_each_flush_is_logged_once_just_before_its_emit",),
+           "the main stream's emit folded into sequential"),
 )
 
 

@@ -150,10 +150,10 @@ def ref_flush(cache: RadixCache) -> int:
     """Evict every unpinned childless token of ``cache`` in depth-first
     post-order over its id tables: a childless edge is trimmed from its end,
     one token at a time, back to its deepest pin, and its node is freed when
-    no token is left. A position is pinned when a live lease ends there or a
-    pending insertion grows from it."""
+    no token is left. A position is pinned when a live lease ends there; a
+    pending insertion's lease is live while it reserves."""
     children, end, run, base = cache._children, cache._end, cache._run, cache._base
-    pinned = {_position(cache, lease) for lease in cache._leases} | {cache._protect}
+    pinned = {_position(cache, lease) for lease in cache._leases}
     freed = 0
     stack = [(0, False)]
     while stack:

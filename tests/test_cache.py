@@ -76,6 +76,19 @@ class TestMatchAndInsert:
             cache.release(held)
             cache.check_integrity()
 
+    def test_a_refusal_leaves_no_lease(self):
+        """The refused insertion's own lease pinned its matched prefix through
+        the flush; once refused, it pins nothing, so everything is freed."""
+        cache = RadixCache(budget=4)
+        cache.release(cache.match_and_insert(["x", "y"]))
+        held = cache.match_and_insert(["a"])
+        with pytest.raises(BudgetExceeded):
+            cache.match_and_insert(["x", "y", "p", "q", "r"])
+        cache.release(held)
+        assert cache.flush() == 3
+        assert cache.usage == 0
+        cache.check_integrity()
+
     def test_flush_never_evicts_live(self):
         cache = RadixCache(budget=5)
         live = cache.match_and_insert(["a", "b", "c", "d", "e"])

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from paratrace import (corrupt, parse_document, parallel_rate, random_valid_docu
 from paratrace.cli import main
 from paratrace.topology import DENSE_LIMIT
 from paratrace.errors import ParseError
-from paratrace.tracefile import read_jsonl, write_jsonl
+from paratrace.tracefile import loads, read_jsonl, write_jsonl
 from conftest import E1, E1_FULL
 
 
@@ -861,6 +862,41 @@ def test_wrongly_typed_field_is_an_input_error(tmp_path, capsys, script_file,
     assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
     err = capsys.readouterr().err
     assert err.rstrip().endswith(where) and field in err, err
+
+
+@pytest.mark.parametrize("kind, text, line, message", [
+    ("trace", '{"id": "b", "tokens": ["x"], "n": ' + "9" * 5000 + "}", 3, "digits"),
+    ("config", '{"seed": 1,\n "budget_slots": ' + "9" * 5000 + "}", 2, "digits"),
+    ("trace", '{"id": "b", "tokens": ' + "[" * 100_000 + "]" * 100_000 + "}", 3, "nested"),
+], ids=["long-integer-in-a-trace", "long-integer-in-a-config", "deep-nesting-in-a-trace"])
+def test_json_the_decoder_cannot_hold_is_an_input_error_at_its_line(
+        tmp_path, capsys, script_file, kind, text, line, message):
+    """An integer longer than ``int`` reads, or nesting deeper than the
+    decoder recurses, is bad JSON like any other: exit 2 at its line."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "trace":
+        text = json.dumps(GOOD_RECORDS["trace"]) + "\n\n" + text + "\n"
+        argv = ["validate", path]
+    else:
+        argv = ["simulate", script_file, "--config", path]
+    path.write_text(text)
+    assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and message in err, err[:300]
+    assert err.rstrip().endswith(f"[{path}:{line}]"), err[:300]
+
+
+def test_no_nesting_depth_raises_a_recursion_error():
+    """An escape makes ``loads`` encode what it decoded, and the encoder runs
+    out of stack a little less deep than the decoder: at every depth the text
+    reads or is bad JSON."""
+    refused = 0
+    for depth in range(sys.getrecursionlimit()):
+        try:
+            loads("[" * depth + '"\\u00e9"' + "]" * depth)
+        except json.JSONDecodeError:
+            refused += 1
+    assert refused
 
 
 @pytest.mark.parametrize("field, value, message", [
